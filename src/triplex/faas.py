@@ -27,7 +27,7 @@ from typing import Any, Callable, Optional
 from . import hrv
 from .mqtt import MqttError, SessionClosed, client_connect
 from .report import metrics_to_dict
-from .store import DocStore, insert_unique_seq
+from .store import DocStore
 
 
 class FaasError(Exception):
@@ -249,7 +249,7 @@ def fn_store_ops(ctx: InvocationContext, env: EventEnvelope):
         body = payload.get("body")
         if isinstance(body, dict) and "seq" in body:
             # qos-1 redeliveries die here, same rule as every other pipeline
-            return {"inserted": insert_unique_seq(coll, body)}
+            return {"inserted": coll.insert_unique(body)}
         if body is None:
             raise ValueError("insert needs a body")
         coll.insert(body)

@@ -1,6 +1,6 @@
 """Directed-graph flow runtime: parse a flow file, wire nodes, run it."""
 
-from .engine import FlowHandle, FlowMessage, FlowRuntime, run_flow, stop_flow
+from .engine import FlowHandle, FlowMessage, FlowRuntime, run_flow
 from .parser import (
     NODE_TYPES,
     SINK_TYPES,
@@ -22,7 +22,6 @@ __all__ = [
     "FlowRuntime",
     "FlowHandle",
     "run_flow",
-    "stop_flow",
     "NODE_TYPES",
     "SOURCE_TYPES",
     "SINK_TYPES",

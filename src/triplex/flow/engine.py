@@ -22,7 +22,7 @@ from typing import Any, Callable, Optional
 from .. import hrv
 from ..mqtt import SessionClosed, client_connect
 from ..report import metrics_to_dict, report_from_metric_dict
-from ..store import DocStore, insert_unique_seq
+from ..store import DocStore
 from .parser import FlowGraph
 
 _SHUTDOWN = object()
@@ -166,7 +166,7 @@ class FlowHandle:
             coll = rt.store.collection(node.config.get("collection", rt.default_collection))
             payload = msg.payload
             if isinstance(payload, dict) and "seq" in payload:
-                insert_unique_seq(coll, payload)  # drops qos-1 redeliveries
+                coll.insert_unique(payload)  # drops qos-1 redeliveries
             else:
                 coll.insert(payload)
             self._fan_out(node.id, payload)
@@ -231,7 +231,3 @@ class FlowHandle:
 def run_flow(graph: FlowGraph, runtime: FlowRuntime) -> FlowHandle:
     """Start executing a validated graph; returns its handle."""
     return FlowHandle(graph, runtime)
-
-
-def stop_flow(handle: FlowHandle):
-    handle.stop()

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from . import hrv
 from .mqtt import SessionClosed, client_connect
-from .store import DocStore, insert_unique_seq
+from .store import DocStore
 
 
 class WindowGateway:
@@ -27,7 +27,7 @@ class WindowGateway:
         self._coll = store.collection(collection)
 
     def add(self, record) -> bool:
-        return insert_unique_seq(self._coll, record)
+        return self._coll.insert_unique(record)
 
     def fetch(self) -> list:
         return [doc.body for doc in self._coll.get_all()]

@@ -22,7 +22,7 @@ from .packets import (
 )
 from .topics import topic_matches, validate_topic_filter, validate_topic_name
 from .client import ClientSession, client_connect
-from .broker import Broker, BrokerConfig, broker_start, broker_stop
+from .broker import Broker, BrokerConfig, broker_start
 
 __all__ = [
     "ClientSession",
@@ -30,7 +30,6 @@ __all__ = [
     "Broker",
     "BrokerConfig",
     "broker_start",
-    "broker_stop",
     "Connect",
     "ConnAck",
     "Publish",

@@ -32,6 +32,9 @@ from .packets import (
 )
 from .topics import topic_matches
 
+# one wake-up of a handler drains a whole pipelined burst
+_RECV_BYTES = 65536
+
 
 @dataclass
 class BrokerConfig:
@@ -125,6 +128,9 @@ class Broker:
                 return
             t = threading.Thread(target=self._serve, args=(conn,), daemon=True)
             t.start()
+            # keep only live handlers, so the list stays as long as the
+            # number of open connections
+            self._threads = [h for h in self._threads if h.is_alive()]
             self._threads.append(t)
 
     def _serve(self, conn):
@@ -146,25 +152,31 @@ class Broker:
                 pass
 
     def _recv_packet(self, conn, buf, deadline_s=10.0):
-        """Read one complete packet; returns (packet, rest) or (None, buf) on EOF."""
+        """Read one complete packet off the front of buf (a bytearray).
+
+        Returns the packet, or None on EOF, stop or deadline; what follows
+        the packet stays in buf.
+        """
         deadline = time.monotonic() + deadline_s
         while True:
             out = decode_packet(buf)
             if out is not NeedMoreBytes:
                 packet, used = out
-                return packet, buf[used:]
+                del buf[:used]
+                return packet
             if self._stopping.is_set() or time.monotonic() > deadline:
-                return None, buf
+                return None
             try:
-                chunk = conn.recv(4096)
+                chunk = conn.recv(_RECV_BYTES)
             except socket.timeout:
                 continue
             if not chunk:
-                return None, buf
+                return None
             buf += chunk
 
     def _handshake(self, conn):
-        packet, buf = self._recv_packet(conn, b"")
+        buf = bytearray()
+        packet = self._recv_packet(conn, buf)
         if not isinstance(packet, Connect):
             return None, b""
         with self._registry_lock:
@@ -187,7 +199,7 @@ class Broker:
             out = decode_packet(buf)
             if out is NeedMoreBytes:
                 try:
-                    chunk = conn.recv(4096)
+                    chunk = conn.recv(_RECV_BYTES)
                 except socket.timeout:
                     continue
                 if not chunk:
@@ -195,7 +207,8 @@ class Broker:
                 buf += chunk
                 continue
             packet, used = out
-            buf = buf[used:]
+            # amortised O(1) from the front of a bytearray
+            del buf[:used]
             session.last_activity = self.cfg.clock()
             if isinstance(packet, Publish):
                 self._on_publish(session, packet)
@@ -334,7 +347,3 @@ class Broker:
 def broker_start(cfg: BrokerConfig = None) -> Broker:
     """Bind and start serving; StartupError if the port is taken."""
     return Broker(cfg or BrokerConfig())
-
-
-def broker_stop(broker: Broker):
-    broker.stop()

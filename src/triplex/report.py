@@ -53,17 +53,6 @@ def format_line(record: dict) -> str:
     return json.dumps(record, separators=(",", ":"))
 
 
-def read_report(path) -> list:
-    """All records of a report file, in file order."""
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
 class ReportWriter:
     """Append-mode report sink; also keeps the records for inspection."""
 

@@ -13,7 +13,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 
 class StoreError(Exception):
@@ -55,6 +55,21 @@ class CappedCollection:
             self._docs.append(Document(seq, self._clock_ms(), body))
             return seq
 
+    def insert_unique(self, record) -> bool:
+        """Insert a sensor record unless it replays an already-stored seq.
+
+        Records arrive in seq order on one connection, so comparing against
+        the newest retained record catches qos-1 redeliveries. The check and
+        the insert are one step under the lock, so concurrent writers cannot
+        both store one seq. Every pipeline uses this same rule, which is
+        what keeps them comparable.
+        """
+        with self._lock:
+            if self._docs and record["seq"] <= self._docs[-1].body["seq"]:
+                return False
+            self.insert(record)  # the lock is reentrant; insert stays the one write path
+            return True
+
     def get_all(self) -> list:
         with self._lock:
             return list(self._docs)
@@ -69,10 +84,6 @@ class CappedCollection:
     def count(self) -> int:
         with self._lock:
             return len(self._docs)
-
-    def last(self) -> Optional[Document]:
-        with self._lock:
-            return self._docs[-1] if self._docs else None
 
     def total_inserted(self) -> int:
         with self._lock:
@@ -129,17 +140,3 @@ class DocStore:
 
     def count(self, name: str) -> int:
         return self.collection(name).count()
-
-
-def insert_unique_seq(coll: CappedCollection, record) -> bool:
-    """Insert a sensor record unless it replays an already-stored seq.
-
-    Records arrive in seq order on one connection, so comparing against
-    the newest retained record catches qos-1 redeliveries. Every pipeline
-    uses this same rule, which is what keeps them comparable.
-    """
-    newest = coll.last()
-    if newest is not None and record["seq"] <= newest.body["seq"]:
-        return False
-    coll.insert(record)
-    return True

@@ -32,7 +32,7 @@ from triplex.mqtt import (
 from triplex.mqtt.packets import decode_varint, encode_varint
 from triplex.report import METRIC_FIELDS
 from triplex.runner import compare_modes, run_pipeline
-from triplex.store import CappedCollection, DocStore, insert_unique_seq
+from triplex.store import CappedCollection, DocStore
 
 from flowcases import malformed_flows
 from oracles import CappedListModel, metrics_oracle
@@ -184,7 +184,7 @@ class TestAcceptance:
             def pump():
                 while not stop.is_set():
                     for msg in sub.poll(timeout_s=0.1):
-                        insert_unique_seq(coll, json.loads(msg.payload.decode()))
+                        coll.insert_unique(json.loads(msg.payload.decode()))
 
             pump_thread = threading.Thread(target=pump, daemon=True)
             pump_thread.start()

@@ -158,6 +158,64 @@ class TestFaultInjection:
             ) as pub:
                 with pytest.raises(DeliveryError):
                     pub.publish("t", b"x", qos=1)
+                    pub.flush()
+
+
+class TestInFlightWindow:
+    def test_full_window_blocks_then_raises(self):
+        cfg = BrokerConfig(ack_drop_rate=0.9999999, ack_drop_seed=3)
+        with broker_start(cfg) as broker:
+            with client_connect(
+                broker.address, "pub", ack_timeout_s=0.2, ack_attempts=2, max_in_flight=2
+            ) as pub:
+                started = time.monotonic()
+                pub.publish("t", b"1", qos=1)
+                time.sleep(0.1)
+                pub.publish("t", b"2", qos=1)  # fits in the window
+                # blocked until packet 1 ran out of its two sends
+                with pytest.raises(DeliveryError, match="packet 1 after 2 attempts"):
+                    pub.publish("t", b"3", qos=1)
+                assert time.monotonic() - started >= 0.4
+                with pytest.raises(DeliveryError, match="packet 2 after 2 attempts"):
+                    pub.flush()
+                pub.flush()  # each failure is reported once
+                assert broker.stats["publishes_received"] == 4
+                assert broker.stats["dup_publishes_received"] == 2
+
+    def test_close_delivers_every_message_in_flight(self):
+        cfg = BrokerConfig(ack_drop_rate=0.3, ack_drop_seed=4)
+        with broker_start(cfg) as broker:
+            with client_connect(broker.address, "sub") as sub:
+                sub.subscribe("t", qos=1)
+                pub = client_connect(
+                    broker.address, "pub", ack_timeout_s=0.05, ack_attempts=20, max_in_flight=16
+                )
+                for i in range(200):
+                    pub.publish("t", str(i).encode(), qos=1)
+                pub.close()  # returns once every message is acknowledged
+                assert pub.closed and not pub._inflight
+                assert broker.stats["acks_dropped"] > 0
+                assert broker.stats["dup_publishes_received"] > 0
+                got = {int(m.payload) for m in drain(sub, 200)}
+                assert got == set(range(200))
+
+    def test_no_packet_id_reused_while_in_flight_across_wrap(self):
+        cfg = BrokerConfig(ack_drop_rate=0.9999999, ack_drop_seed=5)
+        with broker_start(cfg) as broker:
+            pub = client_connect(broker.address, "pub", ack_timeout_s=1.0, ack_attempts=1)
+            try:
+                pub.publish("t", b"first", qos=1)  # takes id 1 and keeps it
+                pub._next_pid = 0xFFFE
+                for i in range(3):
+                    pub.publish("t", str(i).encode(), qos=1)
+                assert list(pub._inflight) == [1, 0xFFFE, 0xFFFF, 2]
+            finally:
+                with pytest.raises(DeliveryError):
+                    pub.close()
+
+    def test_window_must_be_positive(self, broker):
+        with pytest.raises(ValueError):
+            client_connect(broker.address, "pub", max_in_flight=0)
 
 
 class TestSessionLifecycle:
@@ -220,6 +278,41 @@ class TestSessionLifecycle:
             with client_connect(broker.address, "first") as _c:
                 with pytest.raises(MqttError, match="return code 3"):
                     client_connect(broker.address, "second")
+
+    def test_close_while_qos1_messages_stream_in(self, broker, monkeypatch):
+        # the reader acks each inbound qos-1 publish; a close racing that
+        # ack must end the reader quietly
+        escaped = []
+        monkeypatch.setattr(threading, "excepthook", lambda args: escaped.append(args.exc_value))
+        stop = threading.Event()
+        with client_connect(broker.address, "pub") as pub:
+
+            def flood():
+                while not stop.is_set():
+                    pub.publish("t", b"x", qos=1)
+
+            flooder = threading.Thread(target=flood)
+            flooder.start()
+            try:
+                for trial in range(40):
+                    sub = client_connect(broker.address, f"sub{trial}")
+                    sub.subscribe("t", qos=1)
+                    time.sleep(0.01)
+                    sub.close()
+            finally:
+                stop.set()
+                flooder.join(timeout=10.0)
+        assert not flooder.is_alive()
+        assert escaped == []
+
+    def test_finished_handler_threads_are_pruned(self, broker):
+        for i in range(20):
+            client_connect(broker.address, f"c{i}").close()
+        deadline = time.monotonic() + 5.0
+        while any(t.is_alive() for t in broker._threads) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        with client_connect(broker.address, "last"):
+            assert len(broker._threads) == 1
 
     def test_port_conflict_raises_startup_error(self, broker):
         from triplex.mqtt import StartupError

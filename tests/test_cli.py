@@ -97,6 +97,18 @@ class TestEmulate:
         out = capsys.readouterr().out
         assert "published 300 records" in out
 
+    def test_unacknowledged_records_fail_the_replay(self, capsys, tmp_path):
+        # publish returns at once; the final drain in close must report the
+        # records the broker never acknowledged
+        data = write_signal(tmp_path, [0.5] * 3)
+        with broker_start(BrokerConfig(ack_drop_rate=0.9999999)) as broker:
+            host, port = broker.address
+            code = main(
+                ["emulate", "--data", data, "--host", host, "--port", str(port), "--speedup", "0"]
+            )
+        assert code == 1
+        assert "no ack for packet 1" in capsys.readouterr().err
+
     def test_needs_a_port(self, capsys, tmp_path):
         data = write_signal(tmp_path, [0.5] * 10)
         assert main(["emulate", "--data", data]) == 2

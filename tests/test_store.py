@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import threading
 
 import pytest
@@ -170,3 +171,43 @@ class TestSnapshot:
         first = json.loads(lines[0])
         assert first == {"seq": 1, "t_ms": 42, "body": {"value": 0.5}}
         assert json.loads(lines[1])["body"] == [1, 2]
+
+
+class TestInsertUnique:
+    def test_replayed_seq_is_dropped(self):
+        coll = make_coll(10)
+        assert coll.insert_unique({"seq": 1})
+        assert coll.insert_unique({"seq": 2})
+        assert not coll.insert_unique({"seq": 2})
+        assert not coll.insert_unique({"seq": 1})
+        assert [d.body["seq"] for d in coll.get_all()] == [1, 2]
+
+    def test_concurrent_writers_store_each_seq_once(self):
+        # every writer delivers the same stream, as overlapping redeliveries
+        # would; a check-then-insert race stores some seq twice
+        records = [{"seq": s} for s in range(1, 5001)]
+
+        def run_round():
+            coll = make_coll(len(records))
+            start = threading.Barrier(8)
+
+            def write():
+                start.wait(timeout=10.0)
+                for record in records:
+                    coll.insert_unique(record)
+
+            threads = [threading.Thread(target=write) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in threads)
+            return [d.body["seq"] for d in coll.get_all()]
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert run_round() == list(range(1, 5001))
+        finally:
+            sys.setswitchinterval(old_interval)
