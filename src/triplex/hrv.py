@@ -139,15 +139,18 @@ def rolling_mean(signal: Signal, window_s: float) -> Signal:
 def detect_peaks(signal: Signal, cfg: AnalysisConfig = AnalysisConfig()) -> PeakList:
     """Find the highest sample of each region rising above the local mean.
 
-    A region is a maximal run of samples exceeding the rolling mean scaled
-    by (1 + rel_rise). A run still open at the last sample is an unfinished
-    beat and is dropped rather than reported.
+    A region is a maximal run of samples exceeding the rolling mean raised
+    by rel_rise times the signal's peak-to-peak range. The threshold moves
+    with a DC offset and scales with the amplitude, so neither changes
+    which samples are beats. A run still open at the last sample is an
+    unfinished beat and is dropped rather than reported.
     """
     n = len(signal)
     w = _window_samples(cfg.ma_window_s, signal.sample_rate_hz)
     if n < 2 * w:
         raise InvalidSignal(f"need at least {2 * w} samples, got {n}")
-    threshold = rolling_mean(signal, cfg.ma_window_s).samples * (1.0 + cfg.rel_rise)
+    span = float(np.ptp(signal.samples))
+    threshold = rolling_mean(signal, cfg.ma_window_s).samples + cfg.rel_rise * span
     above = signal.samples > threshold
     edges = np.diff(above.astype(np.int8))
     starts = np.flatnonzero(edges == 1) + 1

@@ -29,13 +29,14 @@ def rolling_mean_oracle(samples, window_samples):
 
 def detect_peaks_oracle(samples, sample_rate_hz, ma_window_s=0.75, rel_rise=0.20):
     """Brute-force scan: argmax of each maximal run where the sample exceeds
-    the rolling mean scaled by (1 + rel_rise).
+    the rolling mean plus rel_rise times the signal's peak-to-peak range.
 
     A run still open at the last sample is an unfinished beat and is dropped.
     """
     w = max(1, round(ma_window_s * sample_rate_hz))
     means = rolling_mean_oracle(samples, w)
-    above = [s > m * (1.0 + rel_rise) for s, m in zip(samples, means)]
+    rise = rel_rise * (max(samples) - min(samples))
+    above = [s > m + rise for s, m in zip(samples, means)]
     peaks = []
     i = 0
     n = len(samples)

@@ -89,6 +89,15 @@ class TestDetectPeaks:
         sig = hrv.Signal(samples, 100.0)
         assert len(hrv.detect_peaks(sig)) == 0
 
+    def test_dc_offset_does_not_move_peaks(self):
+        # a zero-baseline trace with noise, and the same trace moved below zero
+        samples = noisy_heartbeat(100, 15, seed=196)
+        want = hrv.detect_peaks(hrv.Signal(samples, 100.0)).indices.tolist()
+        assert 16 <= len(want) <= 19
+        for offset in (-5.0, 0.5, 3.0):
+            moved = hrv.Signal([v + offset for v in samples], 100.0)
+            assert hrv.detect_peaks(moved).indices.tolist() == want
+
     def test_matches_scan_oracle(self):
         for samples in (
             sine_wave(1.3, 100, 12),
