@@ -140,16 +140,20 @@ def detect_peaks(signal: Signal, cfg: AnalysisConfig = AnalysisConfig()) -> Peak
     """Find the highest sample of each region rising above the local mean.
 
     A region is a maximal run of samples exceeding the rolling mean raised
-    by rel_rise times the signal's peak-to-peak range. The threshold moves
-    with a DC offset and scales with the amplitude, so neither changes
-    which samples are beats. A run still open at the last sample is an
-    unfinished beat and is dropped rather than reported.
+    by rel_rise times the signal's span: the range left after dropping the
+    n // 50 lowest and the n // 50 highest of its n samples. The threshold
+    moves with a DC offset and scales with the amplitude, so neither
+    changes which samples are beats, and a few glitch samples cannot
+    stretch it. A run still open at the last sample is an unfinished beat
+    and is dropped rather than reported.
     """
     n = len(signal)
     w = _window_samples(cfg.ma_window_s, signal.sample_rate_hz)
     if n < 2 * w:
         raise InvalidSignal(f"need at least {2 * w} samples, got {n}")
-    span = float(np.ptp(signal.samples))
+    k = n // 50
+    lo, hi = np.partition(signal.samples, (k, n - 1 - k))[[k, n - 1 - k]]
+    span = float(hi - lo)
     threshold = rolling_mean(signal, cfg.ma_window_s).samples + cfg.rel_rise * span
     above = signal.samples > threshold
     edges = np.diff(above.astype(np.int8))

@@ -27,13 +27,11 @@ from .packets import (
     StartupError,
     SubAck,
     Subscribe,
+    _RECV_BYTES,
     decode_packet,
     encode_packet,
 )
 from .topics import topic_matches
-
-# one wake-up of a handler drains a whole pipelined burst
-_RECV_BYTES = 65536
 
 
 @dataclass

@@ -24,12 +24,14 @@ from .packets import (
     SessionClosed,
     SubAck,
     Subscribe,
+    _RECV_BYTES,
     decode_packet,
     encode_packet,
 )
 
-# one wake-up of a reader drains a whole pipelined burst
-_RECV_BYTES = 65536
+# qos-1 messages that may wait for their PUBACK at once (MQTT 5 calls
+# this the receive maximum)
+_MAX_IN_FLIGHT = 64
 
 
 class _Waiter:
@@ -62,10 +64,10 @@ class ClientSession:
     inbound queue it fills. Sends are serialized by a lock, so the session
     may be driven from several threads even though one at a time is typical.
 
-    Qos-1 publishes are pipelined: up to max_in_flight of them may wait for
-    their PUBACK at once (MQTT 5 calls this the receive maximum). A
-    housekeeping thread resends each one with the dup flag when its ack is
-    ack_timeout_s late, and sends the keep-alive pings.
+    Qos-1 publishes are pipelined: up to _MAX_IN_FLIGHT of them may wait
+    for their PUBACK at once. A housekeeping thread resends each one with
+    the dup flag when its ack is ack_timeout_s late, and sends the
+    keep-alive pings.
     """
 
     def __init__(
@@ -77,15 +79,11 @@ class ClientSession:
         ack_attempts: int = 3,
         connect_timeout_s: float = 10.0,
         auto_ping: bool = True,
-        max_in_flight: int = 64,
     ):
-        if not 1 <= max_in_flight <= 0xFFFF:
-            raise ValueError("max_in_flight must be in [1, 65535]")
         self.client_id = client_id
         self.keep_alive_s = keep_alive_s
         self.ack_timeout_s = ack_timeout_s
         self.ack_attempts = ack_attempts
-        self.max_in_flight = max_in_flight
         self._sock = socket.create_connection(address, timeout=connect_timeout_s)
         self._write_lock = threading.Lock()
         self._state_lock = threading.Lock()
@@ -281,7 +279,7 @@ class ClientSession:
         A qos-1 message stays in flight until the broker acknowledges it.
         Each time its ack is ack_timeout_s late it is resent with the dup
         flag, up to ack_attempts sends in total. Blocks only while
-        max_in_flight messages are in flight. Raises DeliveryError if an
+        _MAX_IN_FLIGHT messages are in flight. Raises DeliveryError if an
         earlier message ran out of attempts and no call has reported it yet.
         """
         if self._closed.is_set():
@@ -291,7 +289,7 @@ class ClientSession:
             return
         with self._acked:
             while (
-                len(self._inflight) >= self.max_in_flight
+                len(self._inflight) >= _MAX_IN_FLIGHT
                 and not self._undelivered
                 and not self._closed.is_set()
             ):
@@ -391,12 +389,11 @@ class ClientSession:
     def close(self):
         """Flush, send DISCONNECT and tear the session down.
 
-        Raises what flush() raises, after the teardown. Closing a session
-        that is already closed or lost only tears it down.
+        Raises what flush() raises, after the teardown: a session lost with
+        messages in flight raises SessionClosed.
         """
         try:
-            if not self._closed.is_set():
-                self.flush()
+            self.flush()
         finally:
             self._disconnect()
 

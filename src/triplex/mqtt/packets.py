@@ -16,6 +16,9 @@ from .topics import validate_topic_filter, validate_topic_name
 
 MAX_REMAINING_LENGTH = 268_435_455  # largest 4-byte varint
 
+# bytes per socket read on both ends: one wake-up drains a pipelined burst
+_RECV_BYTES = 65536
+
 
 class MqttError(Exception):
     """Base for everything raised by this package."""

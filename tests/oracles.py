@@ -29,13 +29,16 @@ def rolling_mean_oracle(samples, window_samples):
 
 def detect_peaks_oracle(samples, sample_rate_hz, ma_window_s=0.75, rel_rise=0.20):
     """Brute-force scan: argmax of each maximal run where the sample exceeds
-    the rolling mean plus rel_rise times the signal's peak-to-peak range.
+    the rolling mean plus rel_rise times the signal's span, the range of the
+    sorted samples without their n // 50 lowest and n // 50 highest.
 
     A run still open at the last sample is an unfinished beat and is dropped.
     """
     w = max(1, round(ma_window_s * sample_rate_hz))
     means = rolling_mean_oracle(samples, w)
-    rise = rel_rise * (max(samples) - min(samples))
+    ordered = sorted(samples)
+    k = len(samples) // 50
+    rise = rel_rise * (ordered[-1 - k] - ordered[k])
     above = [s > m + rise for s, m in zip(samples, means)]
     peaks = []
     i = 0

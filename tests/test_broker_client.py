@@ -12,6 +12,7 @@ from triplex.mqtt import (
     broker_start,
     client_connect,
 )
+from triplex.mqtt import client as client_module
 
 
 class FakeClock:
@@ -162,11 +163,12 @@ class TestFaultInjection:
 
 
 class TestInFlightWindow:
-    def test_full_window_blocks_then_raises(self):
+    def test_full_window_blocks_then_raises(self, monkeypatch):
+        monkeypatch.setattr(client_module, "_MAX_IN_FLIGHT", 2)
         cfg = BrokerConfig(ack_drop_rate=0.9999999, ack_drop_seed=3)
         with broker_start(cfg) as broker:
             with client_connect(
-                broker.address, "pub", ack_timeout_s=0.2, ack_attempts=2, max_in_flight=2
+                broker.address, "pub", ack_timeout_s=0.2, ack_attempts=2
             ) as pub:
                 started = time.monotonic()
                 pub.publish("t", b"1", qos=1)
@@ -187,9 +189,7 @@ class TestInFlightWindow:
         with broker_start(cfg) as broker:
             with client_connect(broker.address, "sub") as sub:
                 sub.subscribe("t", qos=1)
-                pub = client_connect(
-                    broker.address, "pub", ack_timeout_s=0.05, ack_attempts=20, max_in_flight=16
-                )
+                pub = client_connect(broker.address, "pub", ack_timeout_s=0.05, ack_attempts=20)
                 for i in range(200):
                     pub.publish("t", str(i).encode(), qos=1)
                 pub.close()  # returns once every message is acknowledged
@@ -213,9 +213,20 @@ class TestInFlightWindow:
                 with pytest.raises(DeliveryError):
                     pub.close()
 
-    def test_window_must_be_positive(self, broker):
-        with pytest.raises(ValueError):
-            client_connect(broker.address, "pub", max_in_flight=0)
+    def test_close_raises_when_session_lost_with_messages_in_flight(self):
+        broker = broker_start(BrokerConfig(ack_drop_rate=0.9999999, ack_drop_seed=6))
+        try:
+            pub = client_connect(broker.address, "pub", ack_timeout_s=30.0, ack_attempts=1)
+            for i in range(3):
+                pub.publish("t", str(i).encode(), qos=1)
+        finally:
+            broker.stop()
+        deadline = time.monotonic() + 5.0
+        while not pub.closed and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert pub.closed
+        with pytest.raises(SessionClosed, match="3 messages in flight"):
+            pub.close()
 
 
 class TestSessionLifecycle:

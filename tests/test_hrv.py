@@ -98,6 +98,16 @@ class TestDetectPeaks:
             moved = hrv.Signal([v + offset for v in samples], 100.0)
             assert hrv.detect_peaks(moved).indices.tolist() == want
 
+    def test_glitch_sample_leaves_other_peaks(self):
+        samples = noisy_heartbeat(100, 15, seed=196)
+        want = hrv.detect_peaks(hrv.Signal(samples, 100.0)).indices.tolist()
+        for at, glitch in ((5, 5.0), (9, -5.0)):
+            mid = (want[at] + want[at + 1]) // 2  # between two beats
+            hit = list(samples)
+            hit[mid] += glitch  # five times the beat amplitude
+            got = hrv.detect_peaks(hrv.Signal(hit, 100.0)).indices.tolist()
+            assert [i for i in got if i != mid] == want
+
     def test_matches_scan_oracle(self):
         for samples in (
             sine_wave(1.3, 100, 12),
