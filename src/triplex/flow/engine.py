@@ -200,12 +200,10 @@ class FlowHandle:
 
     def drain(self, timeout_s: float = 10.0) -> bool:
         """Wait until every queued message has been fully processed."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            if self._queue.unfinished_tasks == 0:
-                return True
-            time.sleep(0.01)
-        return False
+        # task_done() notifies this condition when the last task finishes
+        done = self._queue.all_tasks_done
+        with done:
+            return done.wait_for(lambda: self._queue.unfinished_tasks == 0, timeout_s)
 
     def stop(self, drain_timeout_s: float = 10.0):
         """Sources first, then drain in-flight messages, then the worker."""

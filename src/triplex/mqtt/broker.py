@@ -133,6 +133,9 @@ class Broker:
 
     def _serve(self, conn):
         conn.settimeout(0.2)
+        # PUBACKs and forwarded publishes go out back to back; Nagle's
+        # algorithm would hold each behind the client's delayed ack (40 ms)
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         session = None
         try:
             session, buf = self._handshake(conn)

@@ -85,6 +85,9 @@ class ClientSession:
         self.ack_timeout_s = ack_timeout_s
         self.ack_attempts = ack_attempts
         self._sock = socket.create_connection(address, timeout=connect_timeout_s)
+        # pipelined publishes and acks are small packets sent back to back;
+        # Nagle's algorithm would hold each behind the broker's delayed ack
+        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._write_lock = threading.Lock()
         self._state_lock = threading.Lock()
         # notified when a publish is acked or given up, and on shutdown

@@ -95,11 +95,17 @@ def graph_for_run(cfg: RunConfig):
 
 
 def _wait_for(pred: Callable[[], bool], timeout_s: float, interval_s: float = 0.02) -> bool:
+    # The first polls come 1 ms apart, since a drain often ends within a few
+    # milliseconds and a coarse poll would add up to a whole interval to the
+    # run. The gap then doubles up to interval_s, so that a long drain does
+    # not keep taking the CPU from the pipeline it waits for.
     deadline = time.monotonic() + timeout_s
+    delay_s = min(0.001, interval_s)
     while time.monotonic() < deadline:
         if pred():
             return True
-        time.sleep(interval_s)
+        time.sleep(delay_s)
+        delay_s = min(2 * delay_s, interval_s)
     return pred()
 
 

@@ -1,4 +1,5 @@
 import json
+import socket
 import threading
 import time
 
@@ -315,6 +316,14 @@ class TestSessionLifecycle:
                 flooder.join(timeout=10.0)
         assert not flooder.is_alive()
         assert escaped == []
+
+    def test_both_ends_send_small_packets_at_once(self, broker):
+        # with Nagle's algorithm a pipelined packet could wait for the
+        # peer's delayed ack whenever an earlier one was unacknowledged
+        with client_connect(broker.address, "pub") as pub:
+            assert pub._sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+            conn = broker._sessions["pub"].conn
+            assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
     def test_finished_handler_threads_are_pruned(self, broker):
         for i in range(20):
