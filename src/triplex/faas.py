@@ -1,11 +1,13 @@
 """Local function host: stateless handlers invoked with event envelopes.
 
-Every invocation runs on its own thread so a handler that overruns its
-descriptor's timeout can be cut off; an overrun's result is discarded and
-the thread abandoned as a daemon. Handlers receive (ctx, envelope) and
-must keep no state between calls. Everything they may touch arrives
-through the context: the capped window collection, the analysis settings,
-and invoke() for calling sibling functions.
+Handlers run on warm worker threads: an invocation hands its job to an
+idle worker, or starts one when none is idle, and waits at most the
+descriptor's timeout for the result. A handler that overruns gets a
+"timeout" record at the deadline and its result is discarded; its worker
+stays busy until the handler returns and then rejoins the pool. Handlers
+receive (ctx, envelope) and must keep no state between calls. Everything
+they may touch arrives through the context: the capped window collection,
+the analysis settings, and invoke() for calling sibling functions.
 
 The built-in trio wires a telemetry pipeline out of chained functions:
 subscriber stores each sensor record through store_ops and periodically
@@ -21,6 +23,7 @@ import json
 import threading
 import time
 import uuid
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
@@ -134,6 +137,78 @@ class InvocationContext:
         return self._host.invoke(name, env)
 
 
+class _Worker:
+    """One pooled thread; it sleeps on its wake lock between jobs."""
+
+    __slots__ = ("_pool", "_job", "_wake")
+
+    def __init__(self, pool: "_WorkerPool"):
+        self._pool = pool
+        self._job = None
+        self._wake = threading.Lock()
+        self._wake.acquire()
+        threading.Thread(target=self._serve, name="faas-worker", daemon=True).start()
+
+    def hand(self, job) -> None:
+        """Run job, a (callable, held lock) pair, or exit when it is None."""
+        self._job = job
+        self._wake.release()
+
+    def _serve(self) -> None:
+        while True:
+            self._wake.acquire()
+            job, self._job = self._job, None
+            if job is None:
+                return
+            run, done = job
+            job = None
+            run()
+            # The job's closure holds its host; a parked worker must not
+            # keep an abandoned host alive.
+            run = None
+            # Back on the idle list before the caller wakes, so a caller
+            # that invokes again straight away finds this worker warm.
+            parked = self._pool.park(self)
+            done.release()
+            if not parked:
+                return
+
+
+class _WorkerPool:
+    """Idle workers, reused last-in first-out; grows on demand, never capped.
+
+    A handler that invokes a sibling holds its worker while the inner call
+    needs another, so any fixed cap could deadlock a nested chain.
+    """
+
+    def __init__(self):
+        self._idle: list[_Worker] = []
+        self._lock = threading.Lock()
+        self._closed = False
+
+    def submit(self, run: Callable[[], None], done: threading.Lock) -> None:
+        with self._lock:
+            worker = self._idle.pop() if self._idle else None
+        if worker is None:
+            worker = _Worker(self)
+        worker.hand((run, done))
+
+    def park(self, worker: _Worker) -> bool:
+        with self._lock:
+            if self._closed:
+                return False
+            self._idle.append(worker)
+            return True
+
+    def close(self) -> None:
+        """Retire idle workers; busy ones exit when their job ends."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for worker in idle:
+            worker.hand(None)
+
+
 class FunctionHost:
     """Registry plus invoker. Thread-safe; invocations may overlap freely."""
 
@@ -157,6 +232,10 @@ class FunctionHost:
         self._lock = threading.Lock()
         self._log = open(log_path, "a", encoding="utf-8") if log_path else None
         self._log_lock = threading.Lock()
+        self._pool = _WorkerPool()
+        # A host dropped without close() must not leave its idle workers
+        # parked for the rest of the process.
+        weakref.finalize(self, self._pool.close)
 
     def register(self, descriptor: FunctionDescriptor) -> None:
         with self._lock:
@@ -187,14 +266,13 @@ class FunctionHost:
             except BaseException as exc:  # failures belong in the record, not on stderr
                 box["exc"] = exc
 
-        worker = threading.Thread(
-            target=run, name=f"faas-{name}-{envelope.event_id[:8]}", daemon=True
-        )
+        done = threading.Lock()
+        done.acquire()
         started = time.perf_counter()
-        worker.start()
-        worker.join(desc.timeout_ms / 1000.0)
+        self._pool.submit(run, done)
+        finished = done.acquire(timeout=desc.timeout_ms / 1000.0)
         duration_ms = (time.perf_counter() - started) * 1000.0
-        if worker.is_alive():
+        if not finished:
             rec = InvocationRecord(
                 envelope.event_id, name, "timeout", duration_ms,
                 None, f"no result within {desc.timeout_ms} ms",
@@ -226,6 +304,7 @@ class FunctionHost:
             return sum(1 for r in self.records if r.function == name)
 
     def close(self) -> None:
+        self._pool.close()
         with self._log_lock:
             if self._log is not None:
                 self._log.close()

@@ -7,6 +7,7 @@ function over immutable inputs and safe to call from any thread.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -38,6 +39,12 @@ class Signal:
         object.__setattr__(self, "samples", arr)
         if not self.sample_rate_hz > 0:
             raise InvalidSignal(f"sample rate must be positive, got {self.sample_rate_hz}")
+        # One NaN or inf poisons the detector's cumulative sums, so beats
+        # are found only before it: refuse rather than answer for part of
+        # the window.
+        if not np.isfinite(arr).all():
+            bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+            raise InvalidSignal(f"sample {bad} is not finite: {arr[bad]}")
 
     def __len__(self):
         return self.samples.size
@@ -247,9 +254,12 @@ def read_amplitudes(path) -> list[float]:
             if lineno == 1 and line == "hr":
                 continue
             try:
-                values.append(float(line))
+                value = float(line)
             except ValueError:
                 raise InvalidSignal(f"{path}: line {lineno} is not a number: {line!r}")
+            if not math.isfinite(value):
+                raise InvalidSignal(f"{path}: line {lineno} is not a finite number: {line!r}")
+            values.append(value)
     return values
 
 

@@ -325,6 +325,12 @@ class Broker:
     def stop(self):
         """Close the listener and every session; clients observe the loss."""
         self._stopping.set()
+        # close() alone leaves accept() blocked until its 0.2 s timeout;
+        # shutdown() wakes it at once.
+        try:
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         try:
             self._listener.close()
         except OSError:

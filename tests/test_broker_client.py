@@ -245,6 +245,14 @@ class TestSessionLifecycle:
         c1.close()
         c2.close()
 
+    def test_idle_broker_stops_promptly(self):
+        broker = broker_start(BrokerConfig())
+        time.sleep(0.05)  # let the accept thread block in accept()
+        started = time.perf_counter()
+        broker.stop()
+        # well under the listener's 0.2 s accept timeout
+        assert time.perf_counter() - started < 0.1
+
     def test_keep_alive_expiry_with_fake_clock(self):
         clock = FakeClock()
         with broker_start(BrokerConfig(clock=clock)) as broker:

@@ -176,6 +176,13 @@ class TestRun:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_sample_exits_two(self, capsys, tmp_path):
+        values = [0.5 + v for v in sine_wave(1.0, 100, 4.0)]
+        values[150] = float("nan")
+        data = write_signal(tmp_path, values)
+        assert main(["run", "--mode", "monolith", "--data", data, "--speedup", "0"]) == 2
+        assert "line 151" in capsys.readouterr().err
+
     def test_missing_data_exits_two(self, capsys):
         assert main(["run", "--mode", "monolith"]) == 2
         assert "data" in capsys.readouterr().err

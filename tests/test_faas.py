@@ -1,5 +1,7 @@
+import gc
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -216,6 +218,122 @@ class TestInvoke:
         assert elapsed < 0.5  # ran concurrently, not 16 x 50 ms serially
         assert sorted(r.result for r in results) == list(range(16))
         assert all(r.outcome == "ok" for r in results)
+
+
+def new_workers(before):
+    return [
+        t for t in threading.enumerate() if t.name == "faas-worker" and t not in before
+    ]
+
+
+def stuck_until(release, finished=None):
+    def stuck(ctx, env):
+        release.wait(5.0)
+        if finished is not None:
+            finished.set()
+
+    return stuck
+
+
+class TestWorkerPool:
+    def test_thread_count_flat_over_500_nested_invocations(self):
+        host = fresh_host()
+        start = threading.active_count()
+        for rec in records_from(sine_wave(1.0, 100, 5.0)):
+            host.invoke("subscriber", make_envelope("test", {"record": rec, "decimation": 100}))
+        # subscriber -> metrics_calc -> store_ops is the deepest chain
+        assert threading.active_count() - start <= 3
+        # 500 subscriber + 500 inserts + 5 x (metrics_calc + get_all)
+        assert len(host.records) == 1010
+        host.close()
+
+    def test_concurrent_callers_get_their_own_results(self):
+        host = fresh_host()
+        host.register(FunctionDescriptor("echo", echo))
+        host.register(
+            FunctionDescriptor("relay", lambda ctx, env: ctx.invoke("echo", env.payload).result)
+        )
+        before = set(threading.enumerate())
+        wrong = []
+
+        def caller(k):
+            for i in range(100):
+                rec = send(host, "relay", [k, i])
+                if rec.outcome != "ok" or rec.result != [k, i]:
+                    wrong.append(rec)
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        assert len(host.records) == 8 * 100 * 2
+        assert len(new_workers(before)) <= 8 * 2  # two deep per caller at most
+        host.close()
+
+    def test_close_retires_idle_workers(self):
+        before = set(threading.enumerate())
+        host = fresh_host()
+        send(host, "subscriber", {"record": {"seq": 1, "t_ms": 0, "value": 0.5}})
+        workers = new_workers(before)
+        assert workers
+        host.close()
+        for t in workers:
+            t.join(timeout=2.0)
+        assert not any(t.is_alive() for t in workers)
+
+    def test_dropped_host_retires_its_workers(self):
+        before = set(threading.enumerate())
+        host = fresh_host()
+        send(host, "store_ops", {"op": "get_all"})
+        workers = new_workers(before)
+        assert workers
+        del host
+        gc.collect()
+        for t in workers:
+            t.join(timeout=2.0)
+        assert not any(t.is_alive() for t in workers)
+
+    def test_overrun_ending_after_close_exits_its_worker(self):
+        release = threading.Event()
+        host = fresh_host()
+        host.register(FunctionDescriptor("stuck", stuck_until(release), timeout_ms=50))
+        before = set(threading.enumerate())
+        assert send(host, "stuck", {}).outcome == "timeout"
+        (worker,) = new_workers(before)
+        host.close()
+        assert worker.is_alive()  # still inside the overrunning handler
+        release.set()
+        worker.join(timeout=2.0)
+        assert not worker.is_alive()
+
+    def test_invocation_after_timeout_is_served_at_once(self):
+        release, finished = threading.Event(), threading.Event()
+        host = fresh_host()
+        host.register(FunctionDescriptor("stuck", stuck_until(release, finished), timeout_ms=50))
+        host.register(FunctionDescriptor("whoami", lambda ctx, env: threading.current_thread()))
+        before = set(threading.enumerate())
+        assert send(host, "stuck", {}).outcome == "timeout"
+        (overrun,) = new_workers(before)
+        started = time.monotonic()
+        rec = send(host, "whoami", {})
+        assert rec.outcome == "ok" and rec.result is not overrun
+        assert time.monotonic() - started < 0.1  # a second worker, no wait for the first
+        # once the overrun ends, its worker rejoins the pool and is reused
+        release.set()
+        assert finished.wait(2.0)
+        deadline = time.monotonic() + 2.0
+        while send(host, "whoami", {}).result is not overrun:
+            assert time.monotonic() < deadline
+        assert len(new_workers(before)) == 2
+        host.close()
 
 
 class TestLogFile:

@@ -317,6 +317,38 @@ class TestSignalFiles:
             hrv.read_amplitudes(p)
 
 
+    @pytest.mark.parametrize("bad", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_line_rejected_with_its_number(self, tmp_path, bad):
+        p = tmp_path / "sig.txt"
+        p.write_text(f"hr\n1.0\n{bad}\n2.0\n")
+        with pytest.raises(hrv.InvalidSignal, match="line 3"):
+            hrv.read_amplitudes(p)
+
+
+class TestNonFiniteSamples:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_signal_rejects_non_finite_sample(self, bad):
+        samples = sine_wave(1, 100, 30)
+        samples[1500] = bad
+        with pytest.raises(hrv.InvalidSignal, match="sample 1500"):
+            hrv.Signal(samples, 100.0)
+
+    def test_nan_cannot_yield_metrics_for_half_the_window(self):
+        samples = sine_wave(1, 100, 30)
+        samples[1500] = math.nan
+        with pytest.raises(hrv.InvalidSignal):
+            hrv.analyze(hrv.Signal(samples, 100.0))
+
+    def test_non_finite_record_value_rejected(self):
+        records = [
+            {"seq": i + 1, "t_ms": i * 10, "value": v}
+            for i, v in enumerate(sine_wave(1, 100, 5))
+        ]
+        records[7]["value"] = math.nan
+        with pytest.raises(hrv.InvalidSignal):
+            hrv.signal_from_records(records, 100.0)
+
+
 class TestConfigValidation:
     def test_defaults(self):
         cfg = hrv.AnalysisConfig()
