@@ -419,8 +419,9 @@ class TriggerHandle:
 
     def stop(self):
         self._stop.set()
-        self._thread.join(timeout=5.0)
+        # closing the session wakes the pump out of its poll at once
         self._session.close()
+        self._thread.join(timeout=5.0)
 
     def __enter__(self):
         return self

@@ -122,7 +122,10 @@ class FlowHandle:
             ready.set()
             return
         self._sessions.append(session)
-        session.subscribe(node.config["topic"], qos=1)
+        try:
+            session.subscribe(node.config["topic"], qos=1)
+        except SessionClosed:
+            return  # stop() closed the session before its subscription was up
         ready.set()  # subscription live: publishers may start
         while not self._stop_sources.is_set():
             try:
@@ -211,6 +214,10 @@ class FlowHandle:
             return
         self._stopped = True
         self._stop_sources.set()
+        # closing a session wakes its mqtt-in loop out of its poll at once;
+        # the second pass closes any a still-connecting loop opened meanwhile
+        for session in self._sessions:
+            session.close()
         for t in self._source_threads:
             t.join(timeout=5.0)
         for session in self._sessions:

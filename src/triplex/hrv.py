@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -126,20 +127,26 @@ def _window_samples(window_s: float, sample_rate_hz: float) -> int:
     return max(1, round(window_s * sample_rate_hz))
 
 
+def _centred_means(samples: np.ndarray, w: int) -> np.ndarray:
+    """rolling_mean's averages as a bare array, without building a Signal."""
+    n = samples.size
+    # window covers (w-1)//2 samples left and w//2 right of each position
+    idx = np.arange(n)
+    lo = np.maximum(idx - (w - 1) // 2, 0)
+    hi_end = np.minimum(idx + (w // 2 + 1), n)
+    csum = np.zeros(n + 1)
+    np.cumsum(samples, out=csum[1:])
+    return (csum[hi_end] - csum[lo]) / (hi_end - lo)
+
+
 def rolling_mean(signal: Signal, window_s: float) -> Signal:
     """Centered moving average; the window truncates at the edges, no padding."""
     if window_s <= 0:
         raise ValueError("window_s must be positive")
-    n = len(signal)
-    if n == 0:
+    if len(signal) == 0:
         raise InvalidSignal("cannot average an empty signal")
     w = _window_samples(window_s, signal.sample_rate_hz)
-    # window covers (w-1)//2 samples left and w//2 right of each position
-    idx = np.arange(n)
-    lo = np.maximum(idx - (w - 1) // 2, 0)
-    hi = np.minimum(idx + w // 2, n - 1)
-    csum = np.concatenate(([0.0], np.cumsum(signal.samples)))
-    means = (csum[hi + 1] - csum[lo]) / (hi + 1 - lo)
+    means = _centred_means(signal.samples, w)
     return Signal(means, signal.sample_rate_hz, signal.start_time_ms)
 
 
@@ -154,23 +161,28 @@ def detect_peaks(signal: Signal, cfg: AnalysisConfig = AnalysisConfig()) -> Peak
     stretch it. A run still open at the last sample is an unfinished beat
     and is dropped rather than reported.
     """
-    n = len(signal)
+    samples = signal.samples
+    n = samples.size
     w = _window_samples(cfg.ma_window_s, signal.sample_rate_hz)
     if n < 2 * w:
         raise InvalidSignal(f"need at least {2 * w} samples, got {n}")
     k = n // 50
-    lo, hi = np.partition(signal.samples, (k, n - 1 - k))[[k, n - 1 - k]]
-    span = float(hi - lo)
-    threshold = rolling_mean(signal, cfg.ma_window_s).samples + cfg.rel_rise * span
-    above = signal.samples > threshold
-    edges = np.diff(above.astype(np.int8))
-    starts = np.flatnonzero(edges == 1) + 1
-    ends = np.flatnonzero(edges == -1) + 1
+    part = np.partition(samples, (k, n - 1 - k))
+    span = float(part[n - 1 - k] - part[k])
+    threshold = _centred_means(samples, w)
+    threshold += cfg.rel_rise * span
+    above = samples > threshold
+    # indices where a run of beat samples starts or ends; starts and ends
+    # alternate, so pairing them drops a trailing start with no matching
+    # end, which is exactly the unfinished-run rule
+    bounds = (np.flatnonzero(above[1:] != above[:-1]) + 1).tolist()
     if above[0]:
-        starts = np.concatenate(([0], starts))
-    # zip drops a trailing start with no matching end, which is exactly
-    # the unfinished-run rule
-    peaks = [s + int(np.argmax(signal.samples[s:e])) for s, e in zip(starts, ends)]
+        bounds.insert(0, 0)
+    peaks = []
+    for s, e in zip(bounds[0::2], bounds[1::2]):
+        # list max and index pick the first highest sample, as np.argmax does
+        run = samples[s:e].tolist()
+        peaks.append(s + run.index(max(run)))
     return PeakList(np.asarray(peaks, dtype=np.int64))
 
 
@@ -178,8 +190,8 @@ def compute_rr(peaks: PeakList, sample_rate_hz: float) -> RRSeries:
     """Convert consecutive peak index gaps to intervals in milliseconds."""
     if len(peaks) < 2:
         raise InsufficientBeats(f"need at least 2 peaks, got {len(peaks)}")
-    gaps = np.diff(peaks.indices)
-    intervals = gaps * (1000.0 / sample_rate_hz)
+    idx = peaks.indices
+    intervals = (idx[1:] - idx[:-1]) * (1000.0 / sample_rate_hz)
     return RRSeries(intervals, np.ones(intervals.size, dtype=bool))
 
 
@@ -190,9 +202,33 @@ def reject_outliers(rr: RRSeries, band: float) -> RRSeries:
         raise ValueError("band must be in [0, 1)")
     if len(rr) == 0:
         raise ValueError("empty RR series")
-    mean = float(np.mean(rr.intervals_ms))
+    mean = _mean(rr.intervals_ms)
     mask = np.abs(rr.intervals_ms - mean) <= band * mean
     return RRSeries(rr.intervals_ms, mask)
+
+
+# np.mean, np.std and np.median cost more in argument handling than in
+# arithmetic on a window's few intervals. These take the same steps numpy
+# takes (one pairwise np.add.reduce, then divide; deviations squared, summed,
+# divided and rooted; the middle of a sorted copy, two middles averaged), so
+# every result is bit-identical to numpy's.
+
+
+def _mean(x: np.ndarray) -> float:
+    return float(np.add.reduce(x)) / x.size
+
+
+def _std(x: np.ndarray, mean: float) -> float:
+    """Population standard deviation of x, whose mean is mean."""
+    dev = x - mean
+    return math.sqrt(float(np.add.reduce(dev * dev)) / x.size)
+
+
+def _sorted_median(s: np.ndarray) -> float:
+    h = s.size // 2
+    if s.size % 2:
+        return float(s[h])
+    return float(s[h - 1] + s[h]) / 2
 
 
 def compute_metrics(rr: RRSeries) -> HrvMetrics:
@@ -206,19 +242,20 @@ def compute_metrics(rr: RRSeries) -> HrvMetrics:
     if kept.size < 2:
         raise InsufficientBeats(f"need at least 2 accepted intervals, got {kept.size}")
 
-    ibi = float(np.mean(kept))
+    ibi = _mean(kept)
     bpm = 60000.0 / ibi
-    sdnn = float(np.std(kept))
+    sdnn = _std(kept, ibi)
 
-    d = np.diff(kept)
-    rmssd = float(np.sqrt(np.mean(d * d)))
-    pnn20 = float(np.count_nonzero(np.abs(d) > 20.0) / d.size)
-    pnn50 = float(np.count_nonzero(np.abs(d) > 50.0) / d.size)
+    d = kept[1:] - kept[:-1]
+    rmssd = math.sqrt(_mean(d * d))
+    abs_d = np.abs(d)
+    pnn20 = float(np.count_nonzero(abs_d > 20.0) / d.size)
+    pnn50 = float(np.count_nonzero(abs_d > 50.0) / d.size)
     # a lone difference gives no dispersion estimate; report absent, not 0
-    sdsd = float(np.std(d)) if d.size >= 2 else None
+    sdsd = _std(d, _mean(d)) if d.size >= 2 else None
 
-    med = float(np.median(kept))
-    mad = float(np.median(np.abs(kept - med)))
+    med = _sorted_median(np.sort(kept))
+    mad = _sorted_median(np.sort(np.abs(kept - med)))
 
     return HrvMetrics(
         bpm=bpm,
@@ -230,7 +267,7 @@ def compute_metrics(rr: RRSeries) -> HrvMetrics:
         pnn50=pnn50,
         mad_ms=mad,
         beat_count=int(kept.size) + 1,
-        window_span_ms=float(np.sum(rr.intervals_ms)),
+        window_span_ms=float(np.add.reduce(rr.intervals_ms)),
     )
 
 
@@ -268,6 +305,10 @@ def load_signal(path, sample_rate_hz: float = 100.0, start_time_ms: int = 0) -> 
     return Signal(read_amplitudes(path), sample_rate_hz, start_time_ms)
 
 
+_SEQ = itemgetter("seq")
+_VALUE = itemgetter("value")
+
+
 def signal_from_records(records, sample_rate_hz: float) -> Signal:
     """Rebuild a Signal from sensor records {"seq", "t_ms", "value"}.
 
@@ -276,9 +317,9 @@ def signal_from_records(records, sample_rate_hz: float) -> Signal:
     """
     if not records:
         raise InvalidSignal("no records in window")
-    ordered = sorted(records, key=lambda r: r["seq"])
+    ordered = sorted(records, key=_SEQ)
     return Signal(
-        [r["value"] for r in ordered],
+        list(map(_VALUE, ordered)),
         sample_rate_hz,
         start_time_ms=int(ordered[0]["t_ms"]),
     )

@@ -22,6 +22,7 @@ from triplex.faas import (
 from triplex.mqtt import BrokerConfig, broker_start, client_connect
 from triplex.store import DocStore
 
+from polling import stop_seconds_mid_poll
 from waveforms import sine_wave
 
 
@@ -541,6 +542,14 @@ class TestMqttTrigger:
             with bind_mqtt_trigger(host, broker.address, "hr/p1", decimation_n=1):
                 time.sleep(0.3)
         assert host.records == []
+
+    def test_stop_mid_poll_returns_at_once(self):
+        host = fresh_host()
+        with broker_start(BrokerConfig()) as broker:
+            trig = bind_mqtt_trigger(host, broker.address, "hr/p1")
+            took = stop_seconds_mid_poll(trig._session, trig.stop)
+        assert not trig._thread.is_alive()
+        assert took < 0.05  # the pump polls with a 0.1 s timeout
 
     def test_messages_arrive_in_seq_order(self):
         host = fresh_host()

@@ -12,6 +12,7 @@ from triplex.mqtt import BrokerConfig, broker_start, client_connect
 from triplex.store import DocStore
 
 from flowcases import malformed_flows
+from polling import stop_seconds_mid_poll
 from waveforms import sine_wave
 
 FLOWS_DIR = Path(__file__).parent.parent / "src" / "triplex" / "flows"
@@ -291,6 +292,15 @@ class TestEngineWithBroker:
             docs = rt.store.get_all("window")
             assert [d.body["seq"] for d in docs] == list(range(1, 51))
             assert handle.errors == []
+
+    def test_stop_mid_poll_returns_at_once(self):
+        with broker_start(BrokerConfig()) as broker:
+            rt, _ = make_runtime(broker_address=broker.address)
+            handle = run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt)
+            assert handle.wait_sources(5.0)
+            took = stop_seconds_mid_poll(handle._sessions[0], handle.stop)
+        assert not any(t.is_alive() for t in handle._source_threads)
+        assert took < 0.05  # the mqtt-in loop polls with a 0.1 s timeout
 
     def test_bad_sensor_payload_goes_to_error_sink(self):
         with broker_start(BrokerConfig()) as broker:

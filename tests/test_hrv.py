@@ -1,5 +1,6 @@
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,14 @@ from triplex import hrv
 
 from oracles import analyze_oracle, detect_peaks_oracle, metrics_oracle, rolling_mean_oracle
 from waveforms import noisy_heartbeat, sine_wave, triangular_pulse
+
+DATA_FILE = Path(__file__).parent.parent / "data" / "sample_hr.txt"
+
+
+def recording_window(rotation, size):
+    """size samples of the shipped recording, starting rotation samples in."""
+    values = hrv.read_amplitudes(DATA_FILE)
+    return (values[rotation:] + values[:rotation])[:size]
 
 
 def rr_series(intervals, accepted=None):
@@ -230,6 +239,26 @@ class TestComputeMetrics:
                 else:
                     assert g == pytest.approx(w, rel=1e-9), f
 
+    def test_bit_identical_to_numpy_reductions(self):
+        # the chain's mean, std and median take numpy's own steps, so they
+        # must equal numpy's results exactly, not just within a tolerance
+        rng = random.Random(17)
+        for trial in range(300):
+            n = rng.randint(2, 300)
+            kept = np.array([rng.uniform(300.0, 2000.0) for _ in range(n)])
+            m = hrv.compute_metrics(rr_series(kept))
+            d = np.diff(kept)
+            med = float(np.median(kept))
+            assert m.ibi_ms == float(np.mean(kept))
+            assert m.sdnn_ms == float(np.std(kept))
+            assert m.rmssd_ms == float(np.sqrt(np.mean(d * d)))
+            assert m.sdsd_ms == (float(np.std(d)) if n > 2 else None)
+            assert m.mad_ms == float(np.median(np.abs(kept - med)))
+            assert m.window_span_ms == float(np.sum(kept))
+            mean = float(np.mean(kept))
+            want = np.abs(kept - mean) <= 0.1 * mean
+            assert hrv.reject_outliers(rr_series(kept), 0.1).accepted.tolist() == want.tolist()
+
 
 class TestMetricProperties:
     @given(st.lists(st.floats(300, 2000), min_size=2, max_size=60))
@@ -279,8 +308,21 @@ class TestAnalyze:
         with pytest.raises(hrv.InsufficientBeats):
             hrv.analyze(sig)
 
-    def test_matches_chain_oracle_on_noisy_data(self):
-        samples = noisy_heartbeat(100, 30, bpm=72, seed=7)
+    # The recording windows are the benchmark's two window sizes, each with an
+    # odd and an even accepted-interval count, since the median takes the
+    # middle interval for one and averages two for the other. At 300
+    # samples, the even case has a single difference, so sdsd is None.
+    @pytest.mark.parametrize(
+        "samples",
+        [
+            pytest.param(noisy_heartbeat(100, 30, bpm=72, seed=7), id="noisy"),
+            pytest.param(recording_window(0, 300), id="rot0-300-odd"),
+            pytest.param(recording_window(1000, 300), id="rot1000-300-even"),
+            pytest.param(recording_window(0, 3000), id="rot0-3000-odd"),
+            pytest.param(recording_window(50, 3000), id="rot50-3000-even"),
+        ],
+    )
+    def test_matches_chain_oracle_on_noisy_data(self, samples):
         got = hrv.analyze(hrv.Signal(samples, 100.0))
         want = analyze_oracle(samples, 100.0)
         assert got.bpm == pytest.approx(want["bpm"], rel=1e-9)
@@ -290,6 +332,26 @@ class TestAnalyze:
         assert got.mad_ms == pytest.approx(want["mad_ms"], rel=1e-9)
         assert got.pnn20 == pytest.approx(want["pnn20"], rel=1e-9)
         assert got.pnn50 == pytest.approx(want["pnn50"], rel=1e-9)
+        if want["sdsd_ms"] is None:
+            assert got.sdsd_ms is None
+        else:
+            assert got.sdsd_ms == pytest.approx(want["sdsd_ms"], rel=1e-9)
+
+
+class TestSignalFromRecords:
+    def test_shuffled_records_give_seq_order(self):
+        values = recording_window(0, 300)
+        records = [
+            {"seq": 41 + i, "t_ms": 7000 + 10 * i, "value": v} for i, v in enumerate(values)
+        ]
+        shuffled = list(records)
+        random.Random(8).shuffle(shuffled)
+        assert shuffled[0]["seq"] != 41
+        for given in (records, shuffled):
+            sig = hrv.signal_from_records(given, 100.0)
+            assert sig.samples.tolist() == values
+            assert sig.start_time_ms == 7000
+            assert sig.sample_rate_hz == 100.0
 
 
 class TestSignalFiles:

@@ -18,6 +18,7 @@ from triplex.runner import (
 )
 from triplex.store import DocStore
 
+from polling import stop_seconds_mid_poll
 from waveforms import sine_wave
 
 
@@ -159,6 +160,16 @@ class TestSensorIngestor:
                 while ingestor.delivered < 4 and time.monotonic() < deadline:
                     time.sleep(0.02)
         assert ingestor.skipped_analyses == 2
+
+    def test_stop_mid_poll_returns_at_once(self):
+        store = DocStore()
+        store.create_collection("window", threshold=10)
+        gw = WindowGateway(store)
+        with broker_start(BrokerConfig()) as broker:
+            ingestor = SensorIngestor(gw, WindowAnalyzer(gw), broker.address, "hr/p1")
+            took = stop_seconds_mid_poll(ingestor._session, ingestor.stop)
+        assert not ingestor._thread.is_alive()
+        assert took < 0.05  # the pump polls with a 0.1 s timeout
 
     def test_rejects_bad_decimation(self):
         store = DocStore()
