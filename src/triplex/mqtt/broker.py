@@ -1,9 +1,15 @@
 """Embedded threaded MQTT broker for the qos 0/1, clean-session subset.
 
 One handler thread per connection; routing happens synchronously in the
-publisher's thread under per-session write locks, which preserves per
-connection delivery order. A sweeper thread expires silent sessions; time
-comes from an injectable clock so expiry is testable without sleeping.
+publisher's thread. Every write to a connection is appended to that
+session's outbox under its write lock, which preserves per connection
+delivery order. A handler handles every complete packet it has read before
+it writes anything: at the end of each read burst it gives every session it
+wrote to one sendall, in the order it first wrote to them, so a pipelined
+burst costs one syscall per peer rather than one per packet, and a lone
+packet still goes out as soon as it has been handled. A sweeper thread
+expires silent sessions; time comes from an injectable clock so expiry is
+testable without sleeping.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ class _Session:
         "keep_alive_s",
         "subscriptions",
         "write_lock",
+        "outbox",
         "last_activity",
         "next_pid",
         "closed",
@@ -72,6 +79,7 @@ class _Session:
         self.keep_alive_s = keep_alive_s
         self.subscriptions = []  # (filter, granted qos)
         self.write_lock = threading.Lock()
+        self.outbox = bytearray()  # written, not yet sent; guarded by write_lock
         self.last_activity = now
         self.next_pid = 1
         self.closed = False
@@ -196,58 +204,70 @@ class Broker:
 
     def _run_session(self, session, buf):
         conn = session.conn
-        while not self._stopping.is_set() and not session.closed:
-            out = decode_packet(buf)
-            if out is NeedMoreBytes:
-                try:
-                    chunk = conn.recv(_RECV_BYTES)
-                except socket.timeout:
+        # sessions written to since the last flush, in first-write order
+        touched = {}
+        try:
+            while not self._stopping.is_set() and not session.closed:
+                out = decode_packet(buf)
+                if out is NeedMoreBytes:
+                    # no complete packet left: send the burst's writes
+                    self._flush(touched)
+                    try:
+                        chunk = conn.recv(_RECV_BYTES)
+                    except socket.timeout:
+                        continue
+                    if not chunk:
+                        return
+                    buf += chunk
                     continue
-                if not chunk:
+                packet, used = out
+                # amortised O(1) from the front of a bytearray
+                del buf[:used]
+                session.last_activity = self.cfg.clock()
+                if isinstance(packet, Publish):
+                    self._on_publish(session, packet, touched)
+                elif isinstance(packet, Subscribe):
+                    self._on_subscribe(session, packet, touched)
+                elif isinstance(packet, PingReq):
+                    self._send(session, PingResp(), touched)
+                elif isinstance(packet, PubAck):
+                    pass  # no broker-side retransmission state to clear
+                elif isinstance(packet, Disconnect):
                     return
-                buf += chunk
-                continue
-            packet, used = out
-            # amortised O(1) from the front of a bytearray
-            del buf[:used]
-            session.last_activity = self.cfg.clock()
-            if isinstance(packet, Publish):
-                self._on_publish(session, packet)
-            elif isinstance(packet, Subscribe):
-                self._on_subscribe(session, packet)
-            elif isinstance(packet, PingReq):
-                self._send(session, PingResp())
-            elif isinstance(packet, PubAck):
-                pass  # no broker-side retransmission state to clear
-            elif isinstance(packet, Disconnect):
-                return
-            else:
-                raise ProtocolError(f"unexpected {type(packet).__name__} from client")
+                else:
+                    raise ProtocolError(f"unexpected {type(packet).__name__} from client")
+        finally:
+            # what was routed before a disconnect or an error still goes out
+            self._flush(touched)
 
     # -- packet handling ------------------------------------------------
 
-    def _on_publish(self, session, packet):
+    def _on_publish(self, session, packet, touched):
         self._bump("publishes_received")
         if packet.dup:
             self._bump("dup_publishes_received")
         if packet.qos == 1:
-            with self._rng_lock:
-                drop = self._rng.random() < self.cfg.ack_drop_rate
+            drop = False
+            if self.cfg.ack_drop_rate > 0:
+                with self._rng_lock:
+                    drop = self._rng.random() < self.cfg.ack_drop_rate
             if drop:
                 self._bump("acks_dropped")
             else:
-                self._send(session, PubAck(packet.packet_id))
-        self._route(packet)
+                self._send(session, PubAck(packet.packet_id), touched)
+        self._route(packet, touched)
 
-    def _on_subscribe(self, session, packet):
+    def _on_subscribe(self, session, packet, touched):
         granted = []
         with self._registry_lock:
             for topic_filter, qos in packet.filters:
                 session.subscriptions.append((topic_filter, qos))
                 granted.append(qos)
-        self._send(session, SubAck(packet_id=packet.packet_id, return_codes=tuple(granted)))
+        self._send(
+            session, SubAck(packet_id=packet.packet_id, return_codes=tuple(granted)), touched
+        )
 
-    def _route(self, packet):
+    def _route(self, packet, touched):
         with self._registry_lock:
             targets = []
             for session in self._sessions.values():
@@ -260,30 +280,51 @@ class Broker:
                     # one copy per session even when several filters match
                     targets.append((session, min(packet.qos, max(matched))))
         for session, out_qos in targets:
-            pid = None
-            if out_qos == 1:
-                with session.write_lock:
+            with session.write_lock:
+                pid = None
+                if out_qos == 1:
                     pid = session.next_pid
                     session.next_pid = pid % 0xFFFF + 1
-            out = Publish(
-                topic=packet.topic,
-                payload=packet.payload,
-                qos=out_qos,
-                packet_id=pid,
-                # carried through so downstream duplicate handling is observable
-                dup=packet.dup and out_qos == 1,
-                retain=False,
-            )
-            try:
-                self._send(session, out)
-                self._bump("messages_delivered")
-            except OSError:
-                self._drop(session)
+                session.outbox += encode_packet(
+                    Publish(
+                        topic=packet.topic,
+                        payload=packet.payload,
+                        qos=out_qos,
+                        packet_id=pid,
+                        # carried through so downstream duplicate handling is observable
+                        dup=packet.dup and out_qos == 1,
+                        retain=False,
+                    )
+                )
+            touched[session] = None
+        if targets:
+            self._bump("messages_delivered", len(targets))
 
-    def _send(self, session, packet):
+    def _send(self, session, packet, touched):
+        """Queue packet on session's outbox; _flush sends it."""
         wire = encode_packet(packet)
         with session.write_lock:
-            session.conn.sendall(wire)
+            session.outbox += wire
+        touched[session] = None
+
+    def _flush(self, touched):
+        """One sendall per touched session, in first-write order.
+
+        Another handler may have flushed a session's outbox already, which
+        leaves it empty here. A session whose write fails is dropped.
+        """
+        for session in touched:
+            failed = False
+            with session.write_lock:
+                if session.outbox and not session.closed:
+                    try:
+                        session.conn.sendall(session.outbox)
+                    except OSError:
+                        failed = True
+                session.outbox.clear()
+            if failed:
+                self._drop(session)
+        touched.clear()
 
     # -- expiry and shutdown ---------------------------------------------
 

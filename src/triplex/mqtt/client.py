@@ -1,4 +1,9 @@
-"""Threaded MQTT client: windowed qos-1 publish with retransmission, polled inbox."""
+"""Threaded MQTT client: windowed qos-1 publish with retransmission, polled inbox.
+
+The reader thread handles every complete packet in what one read returned
+before it writes: the PUBACKs for a burst of inbound qos-1 publishes go out
+in one sendall, and the publishes reach the inbox with one wake-up.
+"""
 
 from __future__ import annotations
 
@@ -141,39 +146,59 @@ class ClientSession:
 
     def _read_loop(self):
         buf = self._leftover
+        reason = "connection lost"
         try:
             while not self._closed.is_set():
-                out = decode_packet(buf)
-                if out is NeedMoreBytes:
-                    try:
-                        chunk = self._sock.recv(_RECV_BYTES)
-                    except socket.timeout:
-                        continue
-                    except OSError:
-                        break
-                    if not chunk:
-                        break
-                    buf += chunk
+                self._handle_burst(buf)
+                try:
+                    chunk = self._sock.recv(_RECV_BYTES)
+                except socket.timeout:
                     continue
-                packet, used = out
-                # amortised O(1) from the front of a bytearray
-                del buf[:used]
-                self._dispatch(packet)
+                except OSError:
+                    break
+                if not chunk:
+                    break
+                buf += chunk
         except ProtocolError as exc:
-            self._close_reason = f"protocol error: {exc}"
+            reason = f"protocol error: {exc}"
         except SessionClosed:
             pass  # closed while acking an inbound publish
         finally:
-            self._shutdown("connection lost")
+            self._shutdown(reason)
+
+    def _handle_burst(self, buf):
+        """Handle every complete packet in buf, then ack and queue its publishes.
+
+        The acks go out in one sendall, before the publishes reach the inbox
+        with one notify_all. Publishes decoded before a malformed packet are
+        still acked and queued.
+        """
+        acks = []
+        publishes = []
+        try:
+            while True:
+                out = decode_packet(buf)
+                if out is NeedMoreBytes:
+                    return
+                packet, used = out
+                # amortised O(1) from the front of a bytearray
+                del buf[:used]
+                if isinstance(packet, Publish):
+                    if packet.qos == 1:
+                        acks.append(encode_packet(PubAck(packet.packet_id)))
+                    publishes.append(packet)
+                else:
+                    self._dispatch(packet)
+        finally:
+            if acks:
+                self._write(b"".join(acks))
+            if publishes:
+                with self._inbox_ready:
+                    self._inbox.extend(publishes)
+                    self._inbox_ready.notify_all()
 
     def _dispatch(self, packet):
-        if isinstance(packet, Publish):
-            if packet.qos == 1:
-                self._send(PubAck(packet.packet_id))
-            with self._inbox_ready:
-                self._inbox.append(packet)
-                self._inbox_ready.notify_all()
-        elif isinstance(packet, PubAck):
+        if isinstance(packet, PubAck):
             # a late ack for a retransmitted publish finds nothing
             with self._acked:
                 if self._inflight.pop(packet.packet_id, None) is not None:
@@ -258,7 +283,9 @@ class ClientSession:
     # -- outbound side ------------------------------------------------
 
     def _send(self, packet):
-        wire = encode_packet(packet)
+        self._write(encode_packet(packet))
+
+    def _write(self, wire):
         with self._write_lock:
             if self._closed.is_set():
                 raise SessionClosed(self._close_reason)
@@ -352,14 +379,19 @@ class ClientSession:
     def poll(self, timeout_s: float = 0.0) -> list:
         """Drain inbound publishes in arrival order.
 
-        With a timeout, blocks until at least one message arrives or the
-        timeout elapses; returns whatever is queued (possibly nothing).
+        With a timeout, blocks until at least one message arrives, the
+        session closes or the timeout elapses; returns whatever is queued
+        (possibly nothing). Messages that arrived before the session closed
+        are still returned; once the session is closed and nothing is
+        queued, raises SessionClosed.
         """
         with self._inbox_ready:
             if not self._inbox and timeout_s > 0:
                 self._inbox_ready.wait_for(
                     lambda: self._inbox or self._closed.is_set(), timeout_s
                 )
+            if not self._inbox and self._closed.is_set():
+                raise SessionClosed(self._close_reason)
             out = list(self._inbox)
             self._inbox.clear()
         return out

@@ -304,7 +304,51 @@ def decode_packet(buf: bytes):
     Returns (packet, bytes consumed), or NeedMoreBytes if the buffer holds
     only a prefix of a packet. Raises ProtocolError on malformed input or
     on packet types outside the supported subset.
+
+    A PUBACK, and a qos-1 PUBLISH whose remaining length fits in one byte,
+    take a fast path when they are complete and well formed; it returns
+    exactly what the general path returns. Anything else, valid or not,
+    falls through to the general path.
     """
+    n = len(buf)
+    if n >= 4:
+        first = buf[0]
+        if first == 0x40:  # PUBACK
+            if buf[1] == 2:
+                pid = (buf[2] << 8) | buf[3]
+                if pid:
+                    return PubAck(pid), 4
+        elif first & 0xF6 == 0x32:  # qos-1 PUBLISH, any dup and retain bits
+            remaining = buf[1]
+            total = remaining + 2
+            topic_end = 4 + ((buf[2] << 8) | buf[3])
+            # one-byte length, whole packet here, non-empty topic and a pid
+            if remaining < 0x80 and n >= total and 4 < topic_end <= total - 2:
+                raw = buf[4:topic_end]
+                pid = (buf[topic_end] << 8) | buf[topic_end + 1]
+                # UTF-8 never encodes a multi-byte character with ASCII bytes
+                if pid and b"+" not in raw and b"#" not in raw and b"\x00" not in raw:
+                    try:
+                        topic = raw.decode("utf-8")
+                    except UnicodeDecodeError:
+                        pass
+                    else:
+                        return (
+                            Publish(
+                                topic,
+                                bytes(buf[topic_end + 2 : total]),
+                                1,
+                                pid,
+                                bool(first & 0x8),
+                                bool(first & 0x1),
+                            ),
+                            total,
+                        )
+    return _decode_general(buf)
+
+
+def _decode_general(buf: bytes):
+    """decode_packet without the fast path, for every packet type."""
     if len(buf) < 1:
         return NeedMoreBytes
     type_num = buf[0] >> 4

@@ -24,3 +24,11 @@ def stop_seconds_mid_poll(session, stop):
     t0 = time.monotonic()
     stop()
     return time.monotonic() - t0
+
+
+def all_exit_within(threads, seconds):
+    """True once every thread has ended, False if one outlives `seconds`."""
+    deadline = time.monotonic() + seconds
+    for t in threads:
+        t.join(max(0.0, deadline - time.monotonic()))
+    return not any(t.is_alive() for t in threads)

@@ -9,9 +9,11 @@ from triplex.mqtt import (
     BrokerConfig,
     DeliveryError,
     MqttError,
+    Publish,
     SessionClosed,
     broker_start,
     client_connect,
+    encode_packet,
 )
 from triplex.mqtt import client as client_module
 
@@ -129,6 +131,85 @@ class TestOrderingAndVolume:
             assert seqs == list(range(6000))
 
 
+class CountingConn:
+    """Stands in for a broker-side socket and counts its writes."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.writes = 0
+
+    def sendall(self, data):
+        self.writes += 1
+        return self._conn.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+
+def count_broker_writes(broker, client_id):
+    session = broker._sessions[client_id]
+    session.conn = CountingConn(session.conn)
+    return session.conn
+
+
+class TestCoalescedWrites:
+    def test_two_pipelined_publishers_each_in_order_exactly_once(self, broker):
+        with client_connect(broker.address, "sub") as sub, client_connect(
+            broker.address, "pa"
+        ) as pa, client_connect(broker.address, "pb") as pb:
+            sub.subscribe("t", qos=1)
+
+            def flood(pub, name):
+                for i in range(500):
+                    pub.publish("t", f"{name}:{i}".encode(), qos=1)
+                pub.flush()
+
+            threads = [threading.Thread(target=flood, args=p) for p in ((pa, "a"), (pb, "b"))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=20.0)
+            msgs = drain(sub, 1000, deadline_s=20.0)
+        got = [m.payload.decode().split(":") for m in msgs]
+        for name in ("a", "b"):
+            assert [int(i) for n, i in got if n == name] == list(range(500))
+        assert len(got) == 1000
+        assert broker.stats["dup_publishes_received"] == 0
+
+    def test_pipelined_burst_takes_fewer_writes_than_messages(self, broker):
+        with client_connect(broker.address, "sub") as sub, client_connect(
+            broker.address, "pub"
+        ) as pub:
+            sub.subscribe("t", qos=1)
+            to_sub = count_broker_writes(broker, "sub")
+            to_pub = count_broker_writes(broker, "pub")
+            # 64 publishes in one segment, so the broker reads them in one burst
+            burst = b"".join(
+                encode_packet(Publish("t", str(i).encode(), qos=1, packet_id=i + 1))
+                for i in range(64)
+            )
+            pub._sock.sendall(burst)
+            msgs = drain(sub, 64)
+        assert [int(m.payload) for m in msgs] == list(range(64))
+        assert to_sub.writes < 64
+        assert to_pub.writes < 64  # the burst's 64 PUBACKs
+
+    def test_lone_publish_is_not_held_back(self, broker):
+        with client_connect(broker.address, "sub") as sub, client_connect(
+            broker.address, "pub"
+        ) as pub:
+            sub.subscribe("t", qos=1)
+            took = []
+            for i in range(5):
+                time.sleep(0.02)  # nothing else in flight
+                started = time.perf_counter()
+                pub.publish("t", str(i).encode(), qos=1)
+                assert [m.payload for m in sub.poll(timeout_s=1.0)] == [str(i).encode()]
+                took.append(time.perf_counter() - started)
+        # a write held for more bytes would wait out the 0.2 s read timeout
+        assert sorted(took)[2] < 0.05
+
+
 class TestFaultInjection:
     def test_at_least_once_under_ack_drop(self):
         cfg = BrokerConfig(ack_drop_rate=0.1, ack_drop_seed=1)
@@ -228,6 +309,87 @@ class TestInFlightWindow:
         assert pub.closed
         with pytest.raises(SessionClosed, match="3 messages in flight"):
             pub.close()
+
+
+class TestPollAfterClose:
+    def test_poll_returns_queued_messages_then_raises(self):
+        broker = broker_start(BrokerConfig())
+        sub = client_connect(broker.address, "sub")
+        try:
+            sub.subscribe("t", qos=1)
+            with client_connect(broker.address, "pub") as pub:
+                for i in range(3):
+                    pub.publish("t", str(i).encode(), qos=1)
+            deadline = time.monotonic() + 5.0
+            while len(sub._inbox) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+        finally:
+            broker.stop()
+        deadline = time.monotonic() + 5.0
+        while not sub.closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert sub.closed
+        assert [m.payload for m in sub.poll()] == [b"0", b"1", b"2"]
+        for timeout_s in (0.0, 0.5):
+            started = time.monotonic()
+            with pytest.raises(SessionClosed):
+                sub.poll(timeout_s=timeout_s)
+            assert time.monotonic() - started < 0.1
+        sub.close()
+
+    def test_publishes_before_a_malformed_packet_are_acked_and_returned(self):
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            result = {}
+
+            def fake_broker():
+                conn, _ = server.accept()
+                with conn:
+                    conn.recv(1024)  # CONNECT
+                    conn.sendall(
+                        bytes([0x20, 0x02, 0x00, 0x00])  # CONNACK
+                        + encode_packet(Publish("t", b"a", qos=1, packet_id=1))
+                        + encode_packet(Publish("t", b"b", qos=1, packet_id=2))
+                        + bytes([0x00, 0x00])  # reserved packet type
+                    )
+                    conn.settimeout(5.0)
+                    got = b""
+                    while len(got) < 8:
+                        chunk = conn.recv(1024)
+                        if not chunk:
+                            break
+                        got += chunk
+                    result["acks"] = got
+
+            server_thread = threading.Thread(target=fake_broker)
+            server_thread.start()
+            sub = client_connect(server.getsockname()[:2], "sub")
+            server_thread.join(timeout=5.0)
+        assert result["acks"] == bytes([0x40, 0x02, 0x00, 0x01, 0x40, 0x02, 0x00, 0x02])
+        deadline = time.monotonic() + 5.0
+        while not sub.closed and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert [m.payload for m in sub.poll()] == [b"a", b"b"]
+        with pytest.raises(SessionClosed, match="protocol error"):
+            sub.poll()
+        sub.close()
+
+    def test_poll_blocked_on_an_empty_inbox_raises_when_the_session_closes(self, broker):
+        sub = client_connect(broker.address, "sub")
+        raised = []
+
+        def poll():
+            try:
+                sub.poll(timeout_s=5.0)
+            except SessionClosed:
+                raised.append(time.monotonic())
+
+        poller = threading.Thread(target=poll)
+        poller.start()
+        time.sleep(0.05)
+        closed_at = time.monotonic()
+        sub.close()
+        poller.join(timeout=5.0)
+        assert raised and raised[0] - closed_at < 0.5
 
 
 class TestSessionLifecycle:

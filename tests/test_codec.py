@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triplex.mqtt import packets as pk
 from triplex.mqtt.packets import (
@@ -207,6 +209,132 @@ class TestFuzz:
             except ProtocolError:
                 continue
             assert out is NeedMoreBytes or 0 < out[1] <= len(wire)
+
+
+def outcome(decode, buf):
+    """What one decoder makes of buf, in a form two decoders can be compared by."""
+    try:
+        out = decode(buf)
+    except ProtocolError as exc:
+        return ("error", type(exc), str(exc))
+    if out is NeedMoreBytes:
+        return ("need more",)
+    packet, used = out
+    return ("ok", type(packet), packet, used)
+
+
+def assert_paths_agree(buf):
+    """decode_packet, fast path included, matches the general path on buf."""
+    for form in (bytes(buf), bytearray(buf)):
+        assert outcome(decode_packet, form) == outcome(pk._decode_general, form), buf.hex()
+
+
+def raw_publish(first, topic, pid=b"\x00\x4d", payload=b'{"seq":1}'):
+    """PUBLISH wire with a hand-set first byte, topic bytes and packet id bytes."""
+    body = len(topic).to_bytes(2, "big") + topic + pid + payload
+    return bytes([first]) + encode_varint(len(body)) + body
+
+
+def hot_path_wires():
+    """Valid PUBLISH and PUBACK wires plus mutations at the fast path's edges."""
+    wires = [
+        raw_publish(0x32, b"hr/p1"),
+        raw_publish(0x32, b"hr/p1", pid=b"\x00\x00"),  # packet id 0
+        raw_publish(0x32, b"hr/\xff\xfe"),  # bad UTF-8
+        raw_publish(0x32, b"hr/\xed\xa0\x80"),  # UTF-8-encoded surrogate
+        raw_publish(0x32, "hr/ü".encode()),
+        raw_publish(0x32, b"hr/+"),
+        raw_publish(0x32, b"hr/#"),
+        raw_publish(0x32, b"hr/\x00"),
+        raw_publish(0x32, b""),
+        raw_publish(0x32, b"hr", pid=b"", payload=b""),  # no room for a packet id
+        raw_publish(0x32, b"hr", pid=b"\x01", payload=b""),
+        raw_publish(0x32, b"hr", payload=b""),
+        bytes([0x32, 0x04, 0x00, 0x09, 0x61, 0x00]),  # topic longer than the body
+        bytes([0x32, 0x00]),
+        bytes([0x32, 0x01, 0x00]),
+        bytes([0x32, 0x80, 0x00]),  # two-byte length of 0
+        # overlong two-byte length 10, read as one byte it would be 138
+        bytes([0x32, 0x8A, 0x00, 0x01, 0x61, 0x00, 0x01]) + b"x" * 140,
+        bytes([0x40, 0x02, 0x00, 0x00]),  # PUBACK with packet id 0
+        bytes([0x40, 0x02, 0xFF, 0xFF]),
+        bytes([0x40, 0x03, 0x00, 0x01, 0x00]),
+        bytes([0x40, 0x01, 0x00]),
+        bytes([0x41, 0x02, 0x00, 0x01]),
+        bytes([0x40, 0x82, 0x00, 0x00, 0x01]),  # overlong length encoding
+    ]
+    for first in range(0x30, 0x40):  # dup, qos (0 to 3) and retain bits
+        wires.append(raw_publish(first, b"hr/p1"))
+    # bodies of 127 and 128 bytes: the largest one-byte and smallest two-byte length
+    for size in (126, 127, 128, 129):
+        wire = raw_publish(0x32, b"hr/p1", payload=b"x" * (size - 9))
+        assert len(wire) - 1 - (1 if size < 128 else 2) == size
+        wires.append(wire)
+    wires.append(encode_packet(Publish("hr/p1", b"", qos=1, packet_id=1, dup=True, retain=True)))
+    return wires
+
+
+HOT_PATH_WIRES = hot_path_wires()
+
+
+class TestDecodeFastPath:
+    @pytest.mark.parametrize("index", range(len(HOT_PATH_WIRES)))
+    def test_hot_wires_and_every_truncation_agree(self, index):
+        wire = HOT_PATH_WIRES[index]
+        for cut in range(len(wire) + 1):
+            assert_paths_agree(wire[:cut])
+        assert_paths_agree(wire + encode_packet(PubAck(9)))  # a packet behind it
+
+    def test_criterion_3_corpus_agrees(self):
+        # the same inputs, in the same order, as the criterion-3 check
+        rng = random.Random(0xC3)
+        for _ in range(10_000):
+            assert_paths_agree(encode_packet(random_packet(rng)))
+        for _ in range(100_000):
+            assert_paths_agree(bytes(rng.randrange(256) for _ in range(rng.randrange(0, 40))))
+
+    def test_mutated_hot_wires_agree(self):
+        rng = random.Random(11)
+        for _ in range(20_000):
+            wire = bytearray(rng.choice(HOT_PATH_WIRES))
+            for _ in range(rng.randint(1, 3)):
+                wire[rng.randrange(len(wire))] ^= 1 << rng.randrange(8)
+            assert_paths_agree(wire[: rng.randint(0, len(wire))])
+
+    @settings(max_examples=400)
+    @given(
+        st.sampled_from([0x30, 0x32, 0x33, 0x34, 0x36, 0x3A, 0x3B, 0x40, 0x41, 0x50]),
+        st.integers(0, 0xFF),
+        st.binary(max_size=12),
+        st.binary(max_size=3),
+        st.binary(max_size=140),
+        st.booleans(),
+    )
+    def test_generated_wires_agree(self, first, length, topic, pid, payload, honest):
+        if honest:  # a true remaining length, one or two bytes long
+            wire = raw_publish(first, topic, pid, payload)
+        else:
+            wire = bytes([first, length]) + len(topic).to_bytes(2, "big") + topic + pid + payload
+        assert_paths_agree(wire)
+        assert_paths_agree(wire[: len(wire) // 2])
+
+    @given(st.binary(max_size=64))
+    def test_arbitrary_bytes_agree(self, buf):
+        assert_paths_agree(buf)
+
+    def test_hot_packets_skip_the_general_path(self, monkeypatch):
+        wires = [
+            encode_packet(Publish("hr/p1", b'{"seq":1}', qos=1, packet_id=77)),
+            encode_packet(Publish("hr/ü", b"", qos=1, packet_id=1, dup=True, retain=True)),
+            encode_packet(PubAck(65535)),
+        ]
+        expected = [decode_packet(w) for w in wires]
+
+        def general(buf):
+            raise AssertionError("general path taken")
+
+        monkeypatch.setattr(pk, "_decode_general", general)
+        assert [decode_packet(bytearray(w)) for w in wires] == expected
 
 
 class TestDecodeErrors:

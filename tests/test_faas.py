@@ -22,7 +22,7 @@ from triplex.faas import (
 from triplex.mqtt import BrokerConfig, broker_start, client_connect
 from triplex.store import DocStore
 
-from polling import stop_seconds_mid_poll
+from polling import all_exit_within, stop_seconds_mid_poll
 from waveforms import sine_wave
 
 
@@ -550,6 +550,16 @@ class TestMqttTrigger:
             took = stop_seconds_mid_poll(trig._session, trig.stop)
         assert not trig._thread.is_alive()
         assert took < 0.05  # the pump polls with a 0.1 s timeout
+
+    def test_pump_exits_when_the_broker_stops(self):
+        host = fresh_host()
+        broker = broker_start(BrokerConfig())
+        trig = bind_mqtt_trigger(host, broker.address, "hr/p1")
+        try:
+            broker.stop()
+            assert all_exit_within([trig._thread], 1.0)
+        finally:
+            trig.stop()
 
     def test_messages_arrive_in_seq_order(self):
         host = fresh_host()

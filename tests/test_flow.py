@@ -12,7 +12,7 @@ from triplex.mqtt import BrokerConfig, broker_start, client_connect
 from triplex.store import DocStore
 
 from flowcases import malformed_flows
-from polling import stop_seconds_mid_poll
+from polling import all_exit_within, stop_seconds_mid_poll
 from waveforms import sine_wave
 
 FLOWS_DIR = Path(__file__).parent.parent / "src" / "triplex" / "flows"
@@ -301,6 +301,17 @@ class TestEngineWithBroker:
             took = stop_seconds_mid_poll(handle._sessions[0], handle.stop)
         assert not any(t.is_alive() for t in handle._source_threads)
         assert took < 0.05  # the mqtt-in loop polls with a 0.1 s timeout
+
+    def test_mqtt_in_loop_exits_when_the_broker_stops(self):
+        broker = broker_start(BrokerConfig())
+        rt, _ = make_runtime(broker_address=broker.address)
+        handle = run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt)
+        try:
+            assert handle.wait_sources(5.0)
+            broker.stop()
+            assert all_exit_within(handle._source_threads, 1.0)
+        finally:
+            handle.stop()
 
     def test_bad_sensor_payload_goes_to_error_sink(self):
         with broker_start(BrokerConfig()) as broker:

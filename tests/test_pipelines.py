@@ -18,7 +18,7 @@ from triplex.runner import (
 )
 from triplex.store import DocStore
 
-from polling import stop_seconds_mid_poll
+from polling import all_exit_within, stop_seconds_mid_poll
 from waveforms import sine_wave
 
 
@@ -170,6 +170,18 @@ class TestSensorIngestor:
             took = stop_seconds_mid_poll(ingestor._session, ingestor.stop)
         assert not ingestor._thread.is_alive()
         assert took < 0.05  # the pump polls with a 0.1 s timeout
+
+    def test_pump_exits_when_the_broker_stops(self):
+        store = DocStore()
+        store.create_collection("window", threshold=10)
+        gw = WindowGateway(store)
+        broker = broker_start(BrokerConfig())
+        ingestor = SensorIngestor(gw, WindowAnalyzer(gw), broker.address, "hr/p1")
+        try:
+            broker.stop()
+            assert all_exit_within([ingestor._thread], 1.0)
+        finally:
+            ingestor.stop()
 
     def test_rejects_bad_decimation(self):
         store = DocStore()
