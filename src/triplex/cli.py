@@ -145,6 +145,13 @@ def cmd_run(args, cfg: RunConfig) -> int:
         f"reports={len(result.reports)} wall_ms={result.wall_ms:.0f}",
         file=sys.stderr,
     )
+    if not result.counts["drained"]:
+        print(
+            f"error: the run did not drain, records may be lost: "
+            f"published={result.published} inserted={result.total_inserted}",
+            file=sys.stderr,
+        )
+        return 1
     return 0
 
 

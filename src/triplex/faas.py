@@ -28,8 +28,8 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from . import hrv
-from .mqtt import MqttError, SessionClosed, client_connect
 from .report import metrics_to_dict
+from .source import BrokerUnreachable, MqttSource
 from .store import DocStore
 
 
@@ -385,43 +385,44 @@ def register_builtins(host: FunctionHost, timeout_ms: int = 60_000, memory_mb: i
 class TriggerHandle:
     """A live broker subscription feeding one function, one message at a time."""
 
-    def __init__(self, host, session, topic, function_name, decimation_n):
+    def __init__(self, host, address, topic, function_name, decimation_n):
         self.topic = topic
         self.function = function_name
         self.decimation_n = decimation_n
-        self.delivered = 0
         self._host = host
-        self._session = session
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._pump, name=f"trigger-{topic}", daemon=True)
-        self._thread.start()
+        self.source = MqttSource(
+            address, topic, self._invoke, self._invoke_undecoded, name="faas-trigger"
+        )
 
-    def _pump(self):
-        while not self._stop.is_set():
-            try:
-                messages = self._session.poll(timeout_s=0.1)
-            except SessionClosed:
-                return
-            for msg in messages:
-                try:
-                    record = json.loads(msg.payload.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError):
-                    # Hand the raw text over anyway; subscriber rejects it
-                    # and the rejection shows up as an error record.
-                    record = msg.payload.decode("utf-8", "replace")
-                env = make_envelope(
-                    f"mqtt/{msg.topic}",
-                    {"record": record, "decimation": self.decimation_n},
-                    self._host.clock_ms(),
-                )
-                self._host.invoke(self.function, env)
-                self.delivered += 1
+    def _invoke(self, record):
+        env = make_envelope(
+            f"mqtt/{self.topic}",
+            {"record": record, "decimation": self.decimation_n},
+            self._host.clock_ms(),
+        )
+        self._host.invoke(self.function, env)
+
+    def _invoke_undecoded(self, payload: bytes, exc: Exception):
+        # Hand the raw text over anyway; subscriber rejects it and the
+        # rejection shows up as an error record.
+        self._invoke(payload.decode("utf-8", "replace"))
+
+    def drained(self, published: int) -> bool:
+        return self.source.delivered >= published
+
+    def finalize(self):
+        """One last analysis over the final window."""
+        self._host.invoke("metrics_calc", make_envelope("runner", {}))
+
+    def counters(self) -> dict:
+        return {
+            "delivered": self.source.delivered,
+            "invocations": len(self._host.records),
+            "metrics_calls": self._host.invocation_count("metrics_calc"),
+        }
 
     def stop(self):
-        self._stop.set()
-        # closing the session wakes the pump out of its poll at once
-        self._session.close()
-        self._thread.join(timeout=5.0)
+        self.source.stop()
 
     def __enter__(self):
         return self
@@ -436,29 +437,11 @@ def bind_mqtt_trigger(
     topic: str,
     function_name: str = "subscriber",
     decimation_n: int = 100,
-    connect_attempts: int = 4,
-    backoff_s: float = 0.1,
 ) -> TriggerHandle:
     host.descriptor(function_name)  # fail now, not on the pump thread
     if not _positive_int(decimation_n):
         raise ValueError("decimation_n must be a positive integer")
-    delay = backoff_s
-    last_exc: Optional[Exception] = None
-    session = None
-    for attempt in range(connect_attempts):
-        try:
-            session = client_connect(
-                address, client_id=f"faas-trigger-{uuid.uuid4().hex[:8]}", keep_alive_s=30
-            )
-            break
-        except (OSError, MqttError) as exc:
-            last_exc = exc
-            if attempt < connect_attempts - 1:
-                time.sleep(delay)
-                delay *= 2
-    if session is None:
-        raise TriggerError(
-            f"broker at {address} unreachable after {connect_attempts} attempts"
-        ) from last_exc
-    session.subscribe(topic, qos=1)
-    return TriggerHandle(host, session, topic, function_name, decimation_n)
+    try:
+        return TriggerHandle(host, address, topic, function_name, decimation_n)
+    except BrokerUnreachable as exc:
+        raise TriggerError(str(exc)) from exc

@@ -1,16 +1,7 @@
 """Directed-graph flow runtime: parse a flow file, wire nodes, run it."""
 
-from .engine import FlowHandle, FlowMessage, FlowRuntime, run_flow
-from .parser import (
-    NODE_TYPES,
-    SINK_TYPES,
-    SOURCE_TYPES,
-    FlowGraph,
-    NodeSpec,
-    ParseError,
-    load_flow,
-    parse_flow,
-)
+from .engine import FlowHandle, FlowRuntime, run_flow
+from .parser import FlowGraph, NodeSpec, ParseError, load_flow, parse_flow
 
 __all__ = [
     "FlowGraph",
@@ -18,11 +9,7 @@ __all__ = [
     "ParseError",
     "parse_flow",
     "load_flow",
-    "FlowMessage",
     "FlowRuntime",
     "FlowHandle",
     "run_flow",
-    "NODE_TYPES",
-    "SOURCE_TYPES",
-    "SINK_TYPES",
 ]

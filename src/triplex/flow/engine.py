@@ -11,17 +11,16 @@ and the flow keeps running.
 from __future__ import annotations
 
 import copy
-import json
 import queue
 import threading
 import time
-import uuid
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Optional
 
 from .. import hrv
-from ..mqtt import SessionClosed, client_connect
+from ..mqtt import MqttError
 from ..report import metrics_to_dict, report_from_metric_dict
+from ..source import MqttSource
 from ..store import DocStore
 from .parser import FlowGraph
 
@@ -32,11 +31,8 @@ def _now_ms() -> int:
     return int(time.time() * 1000)
 
 
-@dataclass(frozen=True)
-class FlowMessage:
-    payload: Any
-    source_node: str
-    ts_ms: int
+COLLECTION = "window"  # store nodes without a collection of their own use this one
+MODE_TAG = "flow"  # the mode named in every report this runtime writes
 
 
 @dataclass
@@ -47,8 +43,6 @@ class FlowRuntime:
     analysis: hrv.AnalysisConfig = field(default_factory=hrv.AnalysisConfig)
     broker_address: Optional[tuple] = None
     sample_rate_hz: float = 100.0
-    default_collection: str = "window"
-    mode_tag: str = "flow"
     report: Callable[[dict], None] = lambda record: None
     clock_ms: Callable[[], int] = _now_ms
 
@@ -61,12 +55,11 @@ class FlowHandle:
         self.runtime = runtime
         self.errors: list = []
         self.debug: list = []
+        self.sources: list = []  # one MqttSource per mqtt-in node that came up
         self._queue: queue.Queue = queue.Queue()
-        self._stop_sources = threading.Event()
+        self._stop_timers = threading.Event()
         self._stopped = False
-        self._sessions = []
-        self._source_threads = []
-        self._ready_events = []
+        self._timers = []
 
         self._worker = threading.Thread(target=self._work_loop, name="flow-worker", daemon=True)
         self._worker.start()
@@ -76,15 +69,9 @@ class FlowHandle:
                     target=self._interval_loop, args=(node,), name=f"flow-{node.id}", daemon=True
                 )
                 t.start()
-                self._source_threads.append(t)
+                self._timers.append(t)
             elif node.type == "mqtt-in":
-                ready = threading.Event()
-                self._ready_events.append(ready)
-                t = threading.Thread(
-                    target=self._mqtt_in_loop, args=(node, ready), name=f"flow-{node.id}", daemon=True
-                )
-                t.start()
-                self._source_threads.append(t)
+                self._start_source(node)
 
     # -- sources --------------------------------------------------------
 
@@ -96,49 +83,35 @@ class FlowHandle:
         self._fan_out(node_id, payload)
 
     def wait_sources(self, timeout_s: float = 5.0) -> bool:
-        """Block until every mqtt-in source has its subscription up."""
-        deadline = time.monotonic() + timeout_s
-        for event in self._ready_events:
-            if not event.wait(max(0.0, deadline - time.monotonic())):
-                return False
-        return True
+        """True when every mqtt-in source has its subscription up.
+
+        Sources subscribe before the constructor returns, so this never
+        blocks; a source that could not connect has its error in errors.
+        """
+        return len(self.sources) == sum(1 for n in self.graph.nodes if n.type == "mqtt-in")
 
     def _interval_loop(self, node):
         period_s = node.config.get("period_ms", 1000) / 1000.0
         tick = 0
-        while not self._stop_sources.wait(period_s):
+        while not self._stop_timers.wait(period_s):
             self._fan_out(node.id, {"tick": tick})
             tick += 1
 
-    def _mqtt_in_loop(self, node, ready):
+    def _start_source(self, node):
         try:
-            session = client_connect(
+            if self.runtime.broker_address is None:
+                raise MqttError("the flow runtime has no broker address")
+            source = MqttSource(
                 self.runtime.broker_address,
-                client_id=f"flow-{node.id}-{uuid.uuid4().hex[:8]}",
-                keep_alive_s=30,
+                node.config["topic"],
+                lambda record: self._fan_out(node.id, record),
+                lambda payload, exc: self._fail(node.id, exc),
+                name=f"flow-{node.id}",
             )
-        except Exception as exc:
+        except MqttError as exc:
             self._fail(node.id, exc)
-            ready.set()
-            return
-        self._sessions.append(session)
-        try:
-            session.subscribe(node.config["topic"], qos=1)
-        except SessionClosed:
-            return  # stop() closed the session before its subscription was up
-        ready.set()  # subscription live: publishers may start
-        while not self._stop_sources.is_set():
-            try:
-                messages = session.poll(timeout_s=0.1)
-            except SessionClosed:
-                break
-            for msg in messages:
-                try:
-                    record = json.loads(msg.payload.decode("utf-8"))
-                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                    self._fail(node.id, exc)
-                    continue
-                self._fan_out(node.id, record)
+        else:
+            self.sources.append(source)
 
     # -- message pump -----------------------------------------------------
 
@@ -146,7 +119,7 @@ class FlowHandle:
         targets = self.graph.out_wires(from_id)
         for i, to in enumerate(targets):
             out = payload if i == 0 else copy.deepcopy(payload)
-            self._queue.put((to, FlowMessage(out, from_id, self.runtime.clock_ms())))
+            self._queue.put((to, out))
 
     def _work_loop(self):
         while True:
@@ -154,43 +127,40 @@ class FlowHandle:
             try:
                 if item is _SHUTDOWN:
                     return
-                node_id, msg = item
+                node_id, payload = item
                 try:
-                    self._execute(self.graph.node(node_id), msg)
+                    self._execute(self.graph.node(node_id), payload)
                 except Exception as exc:
                     self._fail(node_id, exc)
             finally:
                 self._queue.task_done()
 
-    def _execute(self, node, msg: FlowMessage):
+    def _execute(self, node, payload):
         rt = self.runtime
         kind = node.type
         if kind == "store-insert":
-            coll = rt.store.collection(node.config.get("collection", rt.default_collection))
-            payload = msg.payload
+            coll = rt.store.collection(node.config.get("collection", COLLECTION))
             if isinstance(payload, dict) and "seq" in payload:
                 coll.insert_unique(payload)  # drops qos-1 redeliveries
             else:
                 coll.insert(payload)
             self._fan_out(node.id, payload)
         elif kind == "store-get-all":
-            coll = rt.store.collection(node.config.get("collection", rt.default_collection))
+            coll = rt.store.collection(node.config.get("collection", COLLECTION))
             self._fan_out(node.id, [doc.body for doc in coll.get_all()])
         elif kind == "store-delete-all":
-            coll = rt.store.collection(node.config.get("collection", rt.default_collection))
+            coll = rt.store.collection(node.config.get("collection", COLLECTION))
             self._fan_out(node.id, coll.delete_all())
         elif kind == "hrv-analyze":
             rate = node.config.get("sample_rate_hz", rt.sample_rate_hz)
-            signal = hrv.signal_from_records(msg.payload, rate)
+            signal = hrv.signal_from_records(payload, rate)
             metrics = hrv.analyze(signal, rt.analysis)
             self._fan_out(node.id, metrics_to_dict(metrics))
         elif kind == "debug":
             label = node.config.get("label", node.id)
-            self.debug.append((label, msg.payload))
+            self.debug.append((label, payload))
         elif kind == "report":
-            record = report_from_metric_dict(
-                msg.payload, rt.mode_tag, rt.clock_ms(), rt.analysis
-            )
+            record = report_from_metric_dict(payload, MODE_TAG, rt.clock_ms(), rt.analysis)
             rt.report(record)
         else:
             # sources never appear here: wires into them are rejected at parse
@@ -208,20 +178,29 @@ class FlowHandle:
         with done:
             return done.wait_for(lambda: self._queue.unfinished_tasks == 0, timeout_s)
 
+    def drained(self, published: int) -> bool:
+        return self.drain(10.0)
+
+    def finalize(self):
+        """Fire every manual-inject source once and let the flow settle."""
+        for node in self.graph.nodes:
+            if node.type == "manual-inject":
+                self.inject(node.id)
+        self.drain(10.0)
+
+    def counters(self) -> dict:
+        return {"node_errors": len(self.errors)}
+
     def stop(self, drain_timeout_s: float = 10.0):
         """Sources first, then drain in-flight messages, then the worker."""
         if self._stopped:
             return
         self._stopped = True
-        self._stop_sources.set()
-        # closing a session wakes its mqtt-in loop out of its poll at once;
-        # the second pass closes any a still-connecting loop opened meanwhile
-        for session in self._sessions:
-            session.close()
-        for t in self._source_threads:
+        self._stop_timers.set()
+        for source in self.sources:
+            source.stop()
+        for t in self._timers:
             t.join(timeout=5.0)
-        for session in self._sessions:
-            session.close()
         self.drain(drain_timeout_s)
         self._queue.put(_SHUTDOWN)
         self._worker.join(timeout=5.0)

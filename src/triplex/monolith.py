@@ -10,13 +10,10 @@ calls methods.
 
 from __future__ import annotations
 
-import json
-import threading
-import uuid
 from typing import Callable, Optional
 
 from . import hrv
-from .mqtt import SessionClosed, client_connect
+from .source import MqttSource
 from .store import DocStore
 
 
@@ -32,17 +29,8 @@ class WindowGateway:
     def fetch(self) -> list:
         return [doc.body for doc in self._coll.get_all()]
 
-    def clear(self) -> int:
-        return self._coll.delete_all()
-
     def count(self) -> int:
         return self._coll.count()
-
-    def seq_range(self) -> Optional[tuple]:
-        docs = self._coll.get_all()
-        if not docs:
-            return None
-        return (docs[0].body["seq"], docs[-1].body["seq"])
 
 
 class WindowAnalyzer:
@@ -76,7 +64,7 @@ class WindowAnalyzer:
 class SensorIngestor:
     """Subscribes to the sensor topic and feeds the gateway.
 
-    One pump thread, so records land in arrival order. Every message is
+    One source thread, so records land in arrival order. Every message is
     stored (duplicates are dropped by seq); every decimation-th fresh seq
     triggers an analysis, whose result goes to on_metrics. A window still
     too small to analyze just bumps a counter.
@@ -95,33 +83,14 @@ class SensorIngestor:
             raise ValueError("decimation_n must be a positive integer")
         self.gateway = gateway
         self.analyzer = analyzer
-        self.topic = topic
         self.decimation_n = decimation_n
         self.on_metrics = on_metrics
-        self.delivered = 0
         self.skipped_analyses = 0
         self.errors: list = []
-        self._stop = threading.Event()
-        self._session = client_connect(
-            address, client_id=f"ingest-{uuid.uuid4().hex[:8]}", keep_alive_s=30
-        )
-        self._session.subscribe(topic, qos=1)
-        self._thread = threading.Thread(target=self._pump, name="ingestor", daemon=True)
-        self._thread.start()
+        self.source = MqttSource(address, topic, self._store, self._reject, name="ingest")
 
-    def _pump(self):
-        while not self._stop.is_set():
-            try:
-                messages = self._session.poll(timeout_s=0.1)
-            except SessionClosed:
-                return
-            for msg in messages:
-                self._handle(msg)
-                self.delivered += 1
-
-    def _handle(self, msg):
+    def _store(self, record):
         try:
-            record = json.loads(msg.payload.decode("utf-8"))
             fresh = self.gateway.add(record)
             if fresh and record["seq"] % self.decimation_n == 0:
                 try:
@@ -132,13 +101,32 @@ class SensorIngestor:
                     if self.on_metrics is not None:
                         self.on_metrics(metrics)
         except Exception as exc:  # a bad record must not kill the pump
-            self.errors.append(f"{type(exc).__name__}: {exc}")
+            self._reject(record, exc)
+
+    def _reject(self, payload, exc: Exception):
+        self.errors.append(f"{type(exc).__name__}: {exc}")
+
+    def drained(self, published: int) -> bool:
+        return self.source.delivered >= published
+
+    def finalize(self):
+        """One last analysis over the final window, when it can be analyzed."""
+        try:
+            metrics = self.analyzer.current_metrics()
+        except hrv.AnalysisError:
+            return
+        if self.on_metrics is not None:
+            self.on_metrics(metrics)
+
+    def counters(self) -> dict:
+        return {
+            "delivered": self.source.delivered,
+            "pump_errors": len(self.errors),
+            "skipped_analyses": self.skipped_analyses,
+        }
 
     def stop(self):
-        self._stop.set()
-        # closing the session wakes the pump out of its poll at once
-        self._session.close()
-        self._thread.join(timeout=5.0)
+        self.source.stop()
 
     def __enter__(self):
         return self

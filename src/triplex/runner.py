@@ -1,12 +1,14 @@
 """Wiring for full runs: broker, pipeline, replay, drain, final report.
 
-Every mode follows the same script. Start an embedded broker, build the
-pipeline (direct calls, a flow graph, or the function host), wait until
-its subscription is live, flood or pace the data file through a publisher
-session, wait until every published seq has landed in the window, then
-force one last analysis so each run ends with a report over its final
-window. Shutdown is ordered: sources first, then the pipeline, then the
-broker.
+Every mode follows the same script, written once in run_pipeline. Start
+an embedded broker, then enter the mode's entry in _PIPELINES, which builds
+the pipeline (direct calls, a flow graph, or the function host) with its
+subscription live and yields its handle. Flood or pace the data file
+through a publisher session, wait until every published seq has landed in
+the window and handle.drained(published) holds, then call
+handle.finalize() so each run ends with a report over its final window.
+Leaving the entry stops the pipeline, source first; the broker stops last.
+handle.counters() gives the run's per-mode counts.
 
 All three pipelines share the storage dedup rule and the analysis chain,
 so their final windows and final metrics must agree; compare_modes runs
@@ -19,6 +21,7 @@ import json
 import math
 import time
 import uuid
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional
@@ -26,7 +29,7 @@ from typing import Callable, Optional
 from . import hrv
 from .config import MODES, ConfigError, RunConfig
 from .emulator import ReplayConfig, replay
-from .faas import FunctionHost, bind_mqtt_trigger, make_envelope, register_builtins
+from .faas import FunctionHost, bind_mqtt_trigger, register_builtins
 from .flow import FlowRuntime, parse_flow, run_flow
 from .monolith import SensorIngestor, WindowAnalyzer, WindowGateway
 from .mqtt import BrokerConfig, broker_start, client_connect
@@ -136,6 +139,60 @@ def _no_rejection_chain(analysis: hrv.AnalysisConfig, rate: float):
     return metrics_fn
 
 
+@contextmanager
+def _monolith(cfg: RunConfig, address, store: DocStore, emit, tamper: bool):
+    analysis = cfg.analysis()
+    gateway = WindowGateway(store)
+    metrics_fn = _no_rejection_chain(analysis, cfg.rate) if tamper else None
+    analyzer = WindowAnalyzer(gateway, analysis, cfg.rate, metrics_fn=metrics_fn)
+    with SensorIngestor(
+        gateway,
+        analyzer,
+        address,
+        cfg.topic,
+        cfg.decimation,
+        on_metrics=lambda m: emit(make_report(m, "monolith", _now_ms(), analysis)),
+    ) as ingestor:
+        yield ingestor
+
+
+@contextmanager
+def _flow(cfg: RunConfig, address, store: DocStore, emit, tamper: bool):
+    graph = graph_for_run(cfg)
+    runtime = FlowRuntime(
+        store=store,
+        analysis=cfg.analysis(),
+        broker_address=address,
+        sample_rate_hz=cfg.rate,
+        report=emit,
+    )
+    with run_flow(graph, runtime) as handle:
+        if not handle.wait_sources(10.0):
+            raise RuntimeError(f"flow sources failed to come up: {handle.errors}")
+        yield handle
+
+
+@contextmanager
+def _faas(cfg: RunConfig, address, store: DocStore, emit, tamper: bool):
+    analysis = cfg.analysis()
+
+    def observe(rec):
+        if rec.function == "metrics_calc" and rec.outcome == "ok":
+            emit(report_from_metric_dict(rec.result, "faas", _now_ms(), analysis))
+
+    with FunctionHost(store, analysis=analysis, sample_rate_hz=cfg.rate) as host:
+        register_builtins(host)
+        host.observers.append(observe)
+        with bind_mqtt_trigger(host, address, cfg.topic, decimation_n=cfg.decimation) as trigger:
+            yield trigger
+
+
+# Each entry starts one pipeline and yields its handle, which the runner
+# drives through drained(published), finalize() and counters(); leaving
+# the context stops the pipeline and closes whatever it owns.
+_PIPELINES = {"monolith": _monolith, "flow": _flow, "faas": _faas}
+
+
 def run_pipeline(
     mode: str,
     cfg: RunConfig,
@@ -148,7 +205,6 @@ def run_pipeline(
         raise ValueError("the tamper hook exists only for the direct-call pipeline")
     samples = load_samples(cfg)
     expected = len(samples)
-    analysis = cfg.analysis()
 
     reports: list = []
 
@@ -160,114 +216,16 @@ def run_pipeline(
     started = time.perf_counter()
     with broker_start(BrokerConfig(host=cfg.host, port=cfg.port)) as broker:
         store = DocStore()
-        store.create_collection("window", cfg.threshold)
-        coll = store.collection("window")
-
-        if mode == "monolith":
-            gateway = WindowGateway(store)
-            metrics_fn = _no_rejection_chain(analysis, cfg.rate) if tamper else None
-            analyzer = WindowAnalyzer(gateway, analysis, cfg.rate, metrics_fn=metrics_fn)
-            ingestor = SensorIngestor(
-                gateway,
-                analyzer,
-                broker.address,
-                cfg.topic,
-                cfg.decimation,
-                on_metrics=lambda m: emit(make_report(m, "monolith", _now_ms(), analysis)),
-            )
-
-            def drained(published):
-                return ingestor.delivered >= published
-
-            def finalize():
-                try:
-                    emit(make_report(analyzer.current_metrics(), "monolith", _now_ms(), analysis))
-                except hrv.AnalysisError:
-                    pass
-
-            def shutdown():
-                ingestor.stop()
-
-            def counts():
-                return {
-                    "delivered": ingestor.delivered,
-                    "pump_errors": len(ingestor.errors),
-                    "skipped_analyses": ingestor.skipped_analyses,
-                }
-
-        elif mode == "flow":
-            graph = graph_for_run(cfg)
-            runtime = FlowRuntime(
-                store=store,
-                analysis=analysis,
-                broker_address=broker.address,
-                sample_rate_hz=cfg.rate,
-                mode_tag="flow",
-                report=emit,
-            )
-            handle = run_flow(graph, runtime)
-            if not handle.wait_sources(10.0):
-                handle.stop()
-                raise RuntimeError(f"flow sources failed to come up: {handle.errors}")
-
-            def drained(published):
-                return handle.drain(10.0)
-
-            def finalize():
-                for node in graph.nodes:
-                    if node.type == "manual-inject":
-                        handle.inject(node.id)
-                handle.drain(10.0)
-
-            def shutdown():
-                handle.stop()
-
-            def counts():
-                return {"node_errors": len(handle.errors)}
-
-        else:  # faas
-            host = FunctionHost(
-                store, collection="window", analysis=analysis, sample_rate_hz=cfg.rate
-            )
-            register_builtins(host)
-
-            def observe(rec):
-                if rec.function == "metrics_calc" and rec.outcome == "ok":
-                    emit(report_from_metric_dict(rec.result, "faas", _now_ms(), analysis))
-
-            host.observers.append(observe)
-            trigger = bind_mqtt_trigger(
-                host, broker.address, cfg.topic, decimation_n=cfg.decimation
-            )
-
-            def drained(published):
-                return trigger.delivered >= published
-
-            def finalize():
-                host.invoke("metrics_calc", make_envelope("runner", {}))
-
-            def shutdown():
-                trigger.stop()
-                host.close()
-
-            def counts():
-                return {
-                    "delivered": trigger.delivered,
-                    "invocations": len(host.records),
-                    "metrics_calls": host.invocation_count("metrics_calc"),
-                }
-
-        try:
+        coll = store.create_collection("window", cfg.threshold)
+        with _PIPELINES[mode](cfg, broker.address, store, emit, tamper) as pipeline:
             published = _replay_into(broker.address, cfg) if expected else 0
             settled = _wait_for(lambda: coll.total_inserted() >= published, 30.0)
-            settled = _wait_for(lambda: drained(published), 30.0) and settled
-            finalize()
-        finally:
-            shutdown()
+            settled = _wait_for(lambda: pipeline.drained(published), 30.0) and settled
+            pipeline.finalize()
 
         docs = coll.get_all()
         seq_range = (docs[0].body["seq"], docs[-1].body["seq"]) if docs else None
-        run_counts = counts()
+        run_counts = pipeline.counters()
         run_counts["drained"] = settled
         stored = coll.count()
         total_inserted = coll.total_inserted()

@@ -8,7 +8,6 @@ far as any reader can observe.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from collections import deque
@@ -89,19 +88,6 @@ class CappedCollection:
         with self._lock:
             return self._next_seq - 1
 
-    def write_snapshot(self, path):
-        """Append-free dump, one {"seq","t_ms","body"} record per line."""
-        docs = self.get_all()
-        with open(path, "w", encoding="utf-8") as fh:
-            for doc in docs:
-                fh.write(
-                    json.dumps(
-                        {"seq": doc.seq, "t_ms": doc.inserted_at_ms, "body": doc.body},
-                        separators=(",", ":"),
-                    )
-                )
-                fh.write("\n")
-
 
 class DocStore:
     """Named capped collections."""
@@ -128,9 +114,6 @@ class DocStore:
 
     def insert(self, name: str, body) -> int:
         return self.collection(name).insert(body)
-
-    def snapshot(self, name: str, path):
-        return self.collection(name).write_snapshot(path)
 
     def get_all(self, name: str) -> list:
         return self.collection(name).get_all()

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from triplex import cli
 from triplex.cli import main
 from triplex.mqtt import BrokerConfig, broker_start
 from triplex.report import METRIC_FIELDS
+from triplex.runner import RunResult
 
 from waveforms import sine_wave
 
@@ -165,6 +167,18 @@ class TestRun:
         lines = [json.loads(line) for line in capsys.readouterr().out.strip().splitlines()]
         assert lines[-1]["mode"] == "flow"
         assert lines[-1]["bpm"] == pytest.approx(60.0, abs=1.0)
+
+    def test_lost_records_exit_one(self, capsys, tmp_path, monkeypatch):
+        data = write_signal(tmp_path, [0.5] * 10)
+
+        def undrained_run(mode, cfg, on_report=None):
+            counts = {"node_errors": 0, "drained": False}
+            return RunResult(mode, [], 10, 0, 0, None, 1.0, counts)
+
+        monkeypatch.setattr(cli, "run_pipeline", undrained_run)
+        assert main(["run", "--mode", "flow", "--data", data]) == 1
+        err = capsys.readouterr().err
+        assert "error:" in err and "published=10" in err
 
     def test_invalid_flow_file_exits_two(self, capsys, tmp_path):
         data = write_signal(tmp_path, [0.5] * 100)

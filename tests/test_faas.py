@@ -513,9 +513,9 @@ class TestMqttTrigger:
                     for rec in records_from([0.0] * 100):
                         pub.publish("hr/p1", json.dumps(rec).encode(), qos=1)
                 deadline = time.monotonic() + 10.0
-                while trig.delivered < 100 and time.monotonic() < deadline:
+                while trig.source.delivered < 100 and time.monotonic() < deadline:
                     time.sleep(0.02)
-        assert trig.delivered == 100
+        assert trig.source.delivered == 100
         assert host.invocation_count("subscriber") == 100
         assert len(insert_records(host)) == 100
         assert host.invocation_count("metrics_calc") == 1
@@ -532,9 +532,25 @@ class TestMqttTrigger:
                     for rec in records_from([0.0] * 10):
                         pub.publish("hr/p1", json.dumps(rec).encode(), qos=1)
                 deadline = time.monotonic() + 10.0
-                while trig.delivered < 10 and time.monotonic() < deadline:
+                while trig.source.delivered < 10 and time.monotonic() < deadline:
                     time.sleep(0.02)
         assert host.invocation_count("metrics_calc") == 10
+
+    def test_malformed_payload_fails_one_subscriber_call(self):
+        host = fresh_host()
+        with broker_start(BrokerConfig()) as broker:
+            with bind_mqtt_trigger(host, broker.address, "hr/p1", decimation_n=1000) as trig:
+                with client_connect(broker.address, "sensor") as pub:
+                    pub.publish("hr/p1", b"not json at all", qos=1)
+                    pub.publish("hr/p1", json.dumps(records_from([0.5])[0]).encode(), qos=1)
+                deadline = time.monotonic() + 10.0
+                while trig.source.delivered < 2 and time.monotonic() < deadline:
+                    time.sleep(0.02)
+        assert trig.source.delivered == 2
+        calls = [r for r in host.records if r.function == "subscriber"]
+        assert [r.outcome for r in calls] == ["error", "ok"]
+        assert "sensor record" in calls[0].error
+        assert [d.body["seq"] for d in host.store.get_all("window")] == [1]
 
     def test_no_messages_no_invocations(self):
         host = fresh_host()
@@ -547,8 +563,8 @@ class TestMqttTrigger:
         host = fresh_host()
         with broker_start(BrokerConfig()) as broker:
             trig = bind_mqtt_trigger(host, broker.address, "hr/p1")
-            took = stop_seconds_mid_poll(trig._session, trig.stop)
-        assert not trig._thread.is_alive()
+            took = stop_seconds_mid_poll(trig.source.session, trig.stop)
+        assert not trig.source.thread.is_alive()
         assert took < 0.05  # the pump polls with a 0.1 s timeout
 
     def test_pump_exits_when_the_broker_stops(self):
@@ -557,7 +573,7 @@ class TestMqttTrigger:
         trig = bind_mqtt_trigger(host, broker.address, "hr/p1")
         try:
             broker.stop()
-            assert all_exit_within([trig._thread], 1.0)
+            assert all_exit_within([trig.source.thread], 1.0)
         finally:
             trig.stop()
 
@@ -569,7 +585,7 @@ class TestMqttTrigger:
                     for rec in records_from([float(i) for i in range(200)]):
                         pub.publish("hr/p1", json.dumps(rec).encode(), qos=1)
                 deadline = time.monotonic() + 10.0
-                while trig.delivered < 200 and time.monotonic() < deadline:
+                while trig.source.delivered < 200 and time.monotonic() < deadline:
                     time.sleep(0.02)
         docs = host.store.get_all("window")
         assert [d.body["seq"] for d in docs] == list(range(1, 201))
@@ -583,11 +599,9 @@ class TestMqttTrigger:
         host = fresh_host()
         started = time.monotonic()
         with pytest.raises(TriggerError, match="unreachable"):
-            bind_mqtt_trigger(
-                host, dead_address, "hr/p1", connect_attempts=3, backoff_s=0.05
-            )
-        # two sleeps between three attempts: 0.05 + 0.1
-        assert time.monotonic() - started >= 0.15 - 0.02
+            bind_mqtt_trigger(host, dead_address, "hr/p1")
+        # three sleeps between four attempts: 0.1 + 0.2 + 0.4
+        assert time.monotonic() - started >= 0.7 - 0.02
 
     def test_trigger_needs_registered_function(self):
         host = fresh_host()

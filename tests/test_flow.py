@@ -1,5 +1,6 @@
 import json
 import random
+import socket
 import string
 import time
 from pathlib import Path
@@ -298,9 +299,9 @@ class TestEngineWithBroker:
             rt, _ = make_runtime(broker_address=broker.address)
             handle = run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt)
             assert handle.wait_sources(5.0)
-            took = stop_seconds_mid_poll(handle._sessions[0], handle.stop)
-        assert not any(t.is_alive() for t in handle._source_threads)
-        assert took < 0.05  # the mqtt-in loop polls with a 0.1 s timeout
+            took = stop_seconds_mid_poll(handle.sources[0].session, handle.stop)
+        assert not any(s.thread.is_alive() for s in handle.sources)
+        assert took < 0.05  # the source polls with a 0.1 s timeout
 
     def test_mqtt_in_loop_exits_when_the_broker_stops(self):
         broker = broker_start(BrokerConfig())
@@ -309,9 +310,26 @@ class TestEngineWithBroker:
         try:
             assert handle.wait_sources(5.0)
             broker.stop()
-            assert all_exit_within(handle._source_threads, 1.0)
+            assert all_exit_within([s.thread for s in handle.sources], 1.0)
         finally:
             handle.stop()
+
+    def test_unreachable_broker_fails_wait_sources(self):
+        probe = socket.socket()
+        probe.bind(("127.0.0.1", 0))
+        dead_address = probe.getsockname()
+        probe.close()
+        rt, _ = make_runtime(broker_address=dead_address)
+        with run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt) as handle:
+            assert not handle.wait_sources(2.0)
+        assert [node_id for node_id, _ in handle.errors] == ["sensor-in"]
+        assert "unreachable" in handle.errors[0][1]
+
+    def test_missing_broker_address_fails_wait_sources(self):
+        rt, _ = make_runtime()
+        with run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt) as handle:
+            assert not handle.wait_sources(2.0)
+        assert handle.errors == [("sensor-in", "MqttError: the flow runtime has no broker address")]
 
     def test_bad_sensor_payload_goes_to_error_sink(self):
         with broker_start(BrokerConfig()) as broker:

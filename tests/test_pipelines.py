@@ -61,10 +61,7 @@ class TestWindowGateway:
         assert gw.add({"seq": 1, "t_ms": 0, "value": 0.0}) is False
         assert gw.add({"seq": 2, "t_ms": 10, "value": 1.0}) is True
         assert [r["seq"] for r in gw.fetch()] == [1, 2]
-        assert gw.seq_range() == (1, 2)
         assert gw.count() == 2
-        assert gw.clear() == 2
-        assert gw.seq_range() is None
 
     def test_eviction_moves_the_range(self):
         store = DocStore()
@@ -72,7 +69,7 @@ class TestWindowGateway:
         gw = WindowGateway(store)
         for rec in records_from([0.0] * 8):
             gw.add(rec)
-        assert gw.seq_range() == (6, 8)
+        assert [r["seq"] for r in gw.fetch()] == [6, 7, 8]
 
 
 class TestWindowAnalyzer:
@@ -119,7 +116,7 @@ class TestSensorIngestor:
                     for rec in records_from([0.5] * 25):
                         pub.publish("hr/p1", json.dumps(rec).encode(), qos=1)
                 deadline = time.monotonic() + 5.0
-                while ingestor.delivered < 25 and time.monotonic() < deadline:
+                while ingestor.source.delivered < 25 and time.monotonic() < deadline:
                     time.sleep(0.02)
         assert gw.count() == 25
         # analyses at seqs 10 and 20, over 10 then 20 records
@@ -157,7 +154,7 @@ class TestSensorIngestor:
                     for rec in records_from([0.5] * 4):
                         pub.publish("hr/p1", json.dumps(rec).encode(), qos=1)
                 deadline = time.monotonic() + 5.0
-                while ingestor.delivered < 4 and time.monotonic() < deadline:
+                while ingestor.source.delivered < 4 and time.monotonic() < deadline:
                     time.sleep(0.02)
         assert ingestor.skipped_analyses == 2
 
@@ -167,8 +164,8 @@ class TestSensorIngestor:
         gw = WindowGateway(store)
         with broker_start(BrokerConfig()) as broker:
             ingestor = SensorIngestor(gw, WindowAnalyzer(gw), broker.address, "hr/p1")
-            took = stop_seconds_mid_poll(ingestor._session, ingestor.stop)
-        assert not ingestor._thread.is_alive()
+            took = stop_seconds_mid_poll(ingestor.source.session, ingestor.stop)
+        assert not ingestor.source.thread.is_alive()
         assert took < 0.05  # the pump polls with a 0.1 s timeout
 
     def test_pump_exits_when_the_broker_stops(self):
@@ -179,7 +176,7 @@ class TestSensorIngestor:
         ingestor = SensorIngestor(gw, WindowAnalyzer(gw), broker.address, "hr/p1")
         try:
             broker.stop()
-            assert all_exit_within([ingestor._thread], 1.0)
+            assert all_exit_within([ingestor.source.thread], 1.0)
         finally:
             ingestor.stop()
 

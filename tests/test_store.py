@@ -1,4 +1,3 @@
-import json
 import random
 import sys
 import threading
@@ -157,20 +156,6 @@ class TestConcurrency:
         assert coll.total_inserted() == writers * per_writer
         seqs = [d.seq for d in coll.get_all()]
         assert seqs == list(range(writers * per_writer - 99, writers * per_writer + 1))
-
-
-class TestSnapshot:
-    def test_snapshot_file_format(self, tmp_path):
-        coll = make_coll(10, clock_ms=lambda: 42)
-        coll.insert({"value": 0.5})
-        coll.insert([1, 2])
-        path = tmp_path / "snap.jsonl"
-        coll.write_snapshot(path)
-        lines = path.read_text().splitlines()
-        assert len(lines) == 2
-        first = json.loads(lines[0])
-        assert first == {"seq": 1, "t_ms": 42, "body": {"value": 0.5}}
-        assert json.loads(lines[1])["body"] == [1, 2]
 
 
 class TestInsertUnique:
