@@ -26,7 +26,6 @@ from .flow import ParseError
 from .mqtt import BrokerConfig, MqttError, broker_start, client_connect
 from .report import ReportWriter, format_line, make_report
 from .runner import compare_modes, load_samples, run_pipeline
-from .store import StoreError
 
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
@@ -175,7 +174,7 @@ def main(argv=None) -> int:
     except (ConfigError, ParseError, hrv.AnalysisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ReplayError, MqttError, StoreError, FaasError, RuntimeError, OSError) as exc:
+    except (ReplayError, MqttError, FaasError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,8 +6,8 @@ descriptor's timeout for the result. A handler that overruns gets a
 "timeout" record at the deadline and its result is discarded; its worker
 stays busy until the handler returns and then rejoins the pool. Handlers
 receive (ctx, envelope) and must keep no state between calls. Everything
-they may touch arrives through the context: the capped window collection,
-the analysis settings, and invoke() for calling sibling functions.
+they may touch arrives through the context: the run's capped window, the
+analysis settings, and invoke() for calling sibling functions.
 
 The built-in trio wires a telemetry pipeline out of chained functions:
 subscriber stores each sensor record through store_ops and periodically
@@ -30,7 +30,7 @@ from typing import Any, Callable, Optional
 from . import hrv
 from .report import metrics_to_dict
 from .source import BrokerUnreachable, MqttSource
-from .store import DocStore
+from .store import CappedCollection
 
 
 class FaasError(Exception):
@@ -128,13 +128,12 @@ class InvocationContext:
     def sample_rate_hz(self) -> float:
         return self._host.sample_rate_hz
 
-    def window(self):
-        """The capped collection holding the sensor window."""
-        return self._host.store.collection(self._host.collection)
+    def window(self) -> CappedCollection:
+        """The capped sensor window."""
+        return self._host.window
 
     def invoke(self, name: str, payload: Any) -> InvocationRecord:
-        env = make_envelope(f"fn/{self.function}", payload, self._host.clock_ms())
-        return self._host.invoke(name, env)
+        return self._host.invoke(name, make_envelope(f"fn/{self.function}", payload))
 
 
 class _Worker:
@@ -214,18 +213,14 @@ class FunctionHost:
 
     def __init__(
         self,
-        store: DocStore,
-        collection: str = "window",
+        window: CappedCollection,
         analysis: Optional[hrv.AnalysisConfig] = None,
         sample_rate_hz: float = 100.0,
         log_path=None,
-        clock_ms: Callable[[], int] = _now_ms,
     ):
-        self.store = store
-        self.collection = collection
+        self.window = window
         self.analysis = analysis if analysis is not None else hrv.AnalysisConfig()
         self.sample_rate_hz = sample_rate_hz
-        self.clock_ms = clock_ms
         self.records: list[InvocationRecord] = []
         self.observers: list[Callable[[InvocationRecord], None]] = []
         self._functions: dict[str, FunctionDescriptor] = {}
@@ -318,7 +313,7 @@ class FunctionHost:
 
 
 def fn_store_ops(ctx: InvocationContext, env: EventEnvelope):
-    """Window collection ops: insert, get_all, delete_all."""
+    """Window ops: insert, get_all, delete_all."""
     payload = env.payload
     if not isinstance(payload, dict):
         raise ValueError("store_ops payload must be an object")
@@ -326,13 +321,10 @@ def fn_store_ops(ctx: InvocationContext, env: EventEnvelope):
     coll = ctx.window()
     if op == "insert":
         body = payload.get("body")
-        if isinstance(body, dict) and "seq" in body:
-            # qos-1 redeliveries die here, same rule as every other pipeline
-            return {"inserted": coll.insert_unique(body)}
         if body is None:
             raise ValueError("insert needs a body")
-        coll.insert(body)
-        return {"inserted": True}
+        # qos-1 redeliveries die here, same rule as every other pipeline
+        return {"inserted": coll.insert_unique(body)}
     if op == "get_all":
         return {"documents": [doc.body for doc in coll.get_all()]}
     if op == "delete_all":
@@ -395,11 +387,7 @@ class TriggerHandle:
         )
 
     def _invoke(self, record):
-        env = make_envelope(
-            f"mqtt/{self.topic}",
-            {"record": record, "decimation": self.decimation_n},
-            self._host.clock_ms(),
-        )
+        env = make_envelope(f"mqtt/{self.topic}", {"record": record, "decimation": self.decimation_n})
         self._host.invoke(self.function, env)
 
     def _invoke_undecoded(self, payload: bytes, exc: Exception):

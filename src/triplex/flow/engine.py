@@ -21,7 +21,7 @@ from .. import hrv
 from ..mqtt import MqttError
 from ..report import metrics_to_dict, report_from_metric_dict
 from ..source import MqttSource
-from ..store import DocStore
+from ..store import CappedCollection
 from .parser import FlowGraph
 
 _SHUTDOWN = object()
@@ -31,7 +31,6 @@ def _now_ms() -> int:
     return int(time.time() * 1000)
 
 
-COLLECTION = "window"  # store nodes without a collection of their own use this one
 MODE_TAG = "flow"  # the mode named in every report this runtime writes
 
 
@@ -39,12 +38,11 @@ MODE_TAG = "flow"  # the mode named in every report this runtime writes
 class FlowRuntime:
     """Everything node behaviors need that is not in the flow file."""
 
-    store: DocStore
+    window: CappedCollection
     analysis: hrv.AnalysisConfig = field(default_factory=hrv.AnalysisConfig)
     broker_address: Optional[tuple] = None
     sample_rate_hz: float = 100.0
     report: Callable[[dict], None] = lambda record: None
-    clock_ms: Callable[[], int] = _now_ms
 
 
 class FlowHandle:
@@ -82,7 +80,7 @@ class FlowHandle:
             raise ValueError(f"node {node_id!r} is {node.type!r}, not manual-inject")
         self._fan_out(node_id, payload)
 
-    def wait_sources(self, timeout_s: float = 5.0) -> bool:
+    def wait_sources(self) -> bool:
         """True when every mqtt-in source has its subscription up.
 
         Sources subscribe before the constructor returns, so this never
@@ -139,18 +137,12 @@ class FlowHandle:
         rt = self.runtime
         kind = node.type
         if kind == "store-insert":
-            coll = rt.store.collection(node.config.get("collection", COLLECTION))
-            if isinstance(payload, dict) and "seq" in payload:
-                coll.insert_unique(payload)  # drops qos-1 redeliveries
-            else:
-                coll.insert(payload)
+            rt.window.insert_unique(payload)  # drops qos-1 redeliveries
             self._fan_out(node.id, payload)
         elif kind == "store-get-all":
-            coll = rt.store.collection(node.config.get("collection", COLLECTION))
-            self._fan_out(node.id, [doc.body for doc in coll.get_all()])
+            self._fan_out(node.id, [doc.body for doc in rt.window.get_all()])
         elif kind == "store-delete-all":
-            coll = rt.store.collection(node.config.get("collection", COLLECTION))
-            self._fan_out(node.id, coll.delete_all())
+            self._fan_out(node.id, rt.window.delete_all())
         elif kind == "hrv-analyze":
             rate = node.config.get("sample_rate_hz", rt.sample_rate_hz)
             signal = hrv.signal_from_records(payload, rate)
@@ -160,7 +152,7 @@ class FlowHandle:
             label = node.config.get("label", node.id)
             self.debug.append((label, payload))
         elif kind == "report":
-            record = report_from_metric_dict(payload, MODE_TAG, rt.clock_ms(), rt.analysis)
+            record = report_from_metric_dict(payload, MODE_TAG, _now_ms(), rt.analysis)
             rt.report(record)
         else:
             # sources never appear here: wires into them are rejected at parse

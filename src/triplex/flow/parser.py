@@ -24,15 +24,10 @@ _CONFIG_SCHEMAS = {
     "mqtt-in": {
         "topic": (True, lambda v: isinstance(v, str) and v != "", "non-empty string"),
     },
-    "store-insert": {
-        "collection": (False, lambda v: isinstance(v, str) and v != "", "non-empty string"),
-    },
-    "store-get-all": {
-        "collection": (False, lambda v: isinstance(v, str) and v != "", "non-empty string"),
-    },
-    "store-delete-all": {
-        "collection": (False, lambda v: isinstance(v, str) and v != "", "non-empty string"),
-    },
+    # every store node acts on the run's one capped window
+    "store-insert": {},
+    "store-get-all": {},
+    "store-delete-all": {},
     "hrv-analyze": {
         "sample_rate_hz": (
             False,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 

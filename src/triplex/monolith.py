@@ -1,11 +1,10 @@
-"""The direct-call pipeline: one process, three objects, no middle layer.
+"""The direct-call pipeline: one process, two objects, no middle layer.
 
-WindowGateway owns the capped window, WindowAnalyzer turns whatever the
-window currently holds into metrics, and SensorIngestor pumps broker
-messages into the gateway, asking the analyzer for fresh numbers every
-decimation-th stored seq. The other two pipelines reach the same three
-responsibilities through a flow graph or a function host; this one just
-calls methods.
+WindowAnalyzer turns whatever the capped window currently holds into
+metrics, and SensorIngestor pumps broker messages into that window,
+asking the analyzer for fresh numbers every decimation-th stored seq.
+The other two pipelines reach the same window and analysis through a
+flow graph or a function host; this one just calls methods.
 """
 
 from __future__ import annotations
@@ -14,23 +13,7 @@ from typing import Callable, Optional
 
 from . import hrv
 from .source import MqttSource
-from .store import DocStore
-
-
-class WindowGateway:
-    """All access to the retained sensor window goes through here."""
-
-    def __init__(self, store: DocStore, collection: str = "window"):
-        self._coll = store.collection(collection)
-
-    def add(self, record) -> bool:
-        return self._coll.insert_unique(record)
-
-    def fetch(self) -> list:
-        return [doc.body for doc in self._coll.get_all()]
-
-    def count(self) -> int:
-        return self._coll.count()
+from .store import CappedCollection
 
 
 class WindowAnalyzer:
@@ -43,18 +26,18 @@ class WindowAnalyzer:
 
     def __init__(
         self,
-        gateway: WindowGateway,
+        window: CappedCollection,
         analysis: Optional[hrv.AnalysisConfig] = None,
         sample_rate_hz: float = 100.0,
         metrics_fn: Optional[Callable[[list], hrv.HrvMetrics]] = None,
     ):
-        self.gateway = gateway
+        self.window = window
         self.analysis = analysis if analysis is not None else hrv.AnalysisConfig()
         self.sample_rate_hz = sample_rate_hz
         self._metrics_fn = metrics_fn
 
     def current_metrics(self) -> hrv.HrvMetrics:
-        records = self.gateway.fetch()
+        records = [doc.body for doc in self.window.get_all()]
         if self._metrics_fn is not None:
             return self._metrics_fn(records)
         signal = hrv.signal_from_records(records, self.sample_rate_hz)
@@ -62,7 +45,7 @@ class WindowAnalyzer:
 
 
 class SensorIngestor:
-    """Subscribes to the sensor topic and feeds the gateway.
+    """Subscribes to the sensor topic and feeds the window.
 
     One source thread, so records land in arrival order. Every message is
     stored (duplicates are dropped by seq); every decimation-th fresh seq
@@ -72,7 +55,7 @@ class SensorIngestor:
 
     def __init__(
         self,
-        gateway: WindowGateway,
+        window: CappedCollection,
         analyzer: WindowAnalyzer,
         address,
         topic: str,
@@ -81,7 +64,7 @@ class SensorIngestor:
     ):
         if decimation_n < 1:
             raise ValueError("decimation_n must be a positive integer")
-        self.gateway = gateway
+        self.window = window
         self.analyzer = analyzer
         self.decimation_n = decimation_n
         self.on_metrics = on_metrics
@@ -91,7 +74,7 @@ class SensorIngestor:
 
     def _store(self, record):
         try:
-            fresh = self.gateway.add(record)
+            fresh = self.window.insert_unique(record)
             if fresh and record["seq"] % self.decimation_n == 0:
                 try:
                     metrics = self.analyzer.current_metrics()

@@ -18,7 +18,7 @@ import random
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .packets import (
     ConnAck,

@@ -8,7 +8,7 @@ be closed after a ProtocolError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional, Union
 

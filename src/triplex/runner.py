@@ -1,11 +1,12 @@
 """Wiring for full runs: broker, pipeline, replay, drain, final report.
 
 Every mode follows the same script, written once in run_pipeline. Start
-an embedded broker, then enter the mode's entry in _PIPELINES, which builds
-the pipeline (direct calls, a flow graph, or the function host) with its
-subscription live and yields its handle. Flood or pace the data file
-through a publisher session, wait until every published seq has landed in
-the window and handle.drained(published) holds, then call
+an embedded broker and build the run's one capped window, then enter the
+mode's entry in _PIPELINES, which builds the pipeline (direct calls, a
+flow graph, or the function host) on that window with its subscription
+live and yields its handle. Flood or pace the data file through a
+publisher session, wait until every published seq has landed in the
+window and handle.drained(published) holds, then call
 handle.finalize() so each run ends with a report over its final window.
 Leaving the entry stops the pipeline, source first; the broker stops last.
 handle.counters() gives the run's per-mode counts.
@@ -31,10 +32,10 @@ from .config import MODES, ConfigError, RunConfig
 from .emulator import ReplayConfig, replay
 from .faas import FunctionHost, bind_mqtt_trigger, register_builtins
 from .flow import FlowRuntime, parse_flow, run_flow
-from .monolith import SensorIngestor, WindowAnalyzer, WindowGateway
+from .monolith import SensorIngestor, WindowAnalyzer
 from .mqtt import BrokerConfig, broker_start, client_connect
 from .report import METRIC_FIELDS, make_report, report_from_metric_dict
-from .store import DocStore
+from .store import CappedCollection
 
 DEFAULT_FLOW = "health_monitor.json"
 
@@ -140,13 +141,12 @@ def _no_rejection_chain(analysis: hrv.AnalysisConfig, rate: float):
 
 
 @contextmanager
-def _monolith(cfg: RunConfig, address, store: DocStore, emit, tamper: bool):
+def _monolith(cfg: RunConfig, address, window: CappedCollection, emit, tamper: bool):
     analysis = cfg.analysis()
-    gateway = WindowGateway(store)
     metrics_fn = _no_rejection_chain(analysis, cfg.rate) if tamper else None
-    analyzer = WindowAnalyzer(gateway, analysis, cfg.rate, metrics_fn=metrics_fn)
+    analyzer = WindowAnalyzer(window, analysis, cfg.rate, metrics_fn=metrics_fn)
     with SensorIngestor(
-        gateway,
+        window,
         analyzer,
         address,
         cfg.topic,
@@ -157,30 +157,30 @@ def _monolith(cfg: RunConfig, address, store: DocStore, emit, tamper: bool):
 
 
 @contextmanager
-def _flow(cfg: RunConfig, address, store: DocStore, emit, tamper: bool):
+def _flow(cfg: RunConfig, address, window: CappedCollection, emit, tamper: bool):
     graph = graph_for_run(cfg)
     runtime = FlowRuntime(
-        store=store,
+        window=window,
         analysis=cfg.analysis(),
         broker_address=address,
         sample_rate_hz=cfg.rate,
         report=emit,
     )
     with run_flow(graph, runtime) as handle:
-        if not handle.wait_sources(10.0):
+        if not handle.wait_sources():
             raise RuntimeError(f"flow sources failed to come up: {handle.errors}")
         yield handle
 
 
 @contextmanager
-def _faas(cfg: RunConfig, address, store: DocStore, emit, tamper: bool):
+def _faas(cfg: RunConfig, address, window: CappedCollection, emit, tamper: bool):
     analysis = cfg.analysis()
 
     def observe(rec):
         if rec.function == "metrics_calc" and rec.outcome == "ok":
             emit(report_from_metric_dict(rec.result, "faas", _now_ms(), analysis))
 
-    with FunctionHost(store, analysis=analysis, sample_rate_hz=cfg.rate) as host:
+    with FunctionHost(window, analysis=analysis, sample_rate_hz=cfg.rate) as host:
         register_builtins(host)
         host.observers.append(observe)
         with bind_mqtt_trigger(host, address, cfg.topic, decimation_n=cfg.decimation) as trigger:
@@ -215,9 +215,8 @@ def run_pipeline(
 
     started = time.perf_counter()
     with broker_start(BrokerConfig(host=cfg.host, port=cfg.port)) as broker:
-        store = DocStore()
-        coll = store.create_collection("window", cfg.threshold)
-        with _PIPELINES[mode](cfg, broker.address, store, emit, tamper) as pipeline:
+        coll = CappedCollection(cfg.threshold)
+        with _PIPELINES[mode](cfg, broker.address, coll, emit, tamper) as pipeline:
             published = _replay_into(broker.address, cfg) if expected else 0
             settled = _wait_for(lambda: coll.total_inserted() >= published, 30.0)
             settled = _wait_for(lambda: pipeline.drained(published), 30.0) and settled

@@ -55,6 +55,9 @@ def malformed_flows():
         ("interval period string", _flow([_node("t", "interval-inject", {"period_ms": "1s"})], [])),
         ("interval period float", _flow([_node("t", "interval-inject", {"period_ms": 0.5})], [])),
         ("interval period bool", _flow([_node("t", "interval-inject", {"period_ms": True})], [])),
+        ("insert collection window", _flow([_node("s", "store-insert", {"collection": "window"})], [])),
+        ("get-all collection window", _flow([_node("s", "store-get-all", {"collection": "window"})], [])),
+        ("delete-all collection window", _flow([_node("s", "store-delete-all", {"collection": "window"})], [])),
         ("insert collection empty", _flow([_node("s", "store-insert", {"collection": ""})], [])),
         ("insert collection number", _flow([_node("s", "store-insert", {"collection": 1})], [])),
         ("insert unknown key", _flow([_node("s", "store-insert", {"capped": True})], [])),

@@ -6,15 +6,12 @@ in the terminal summary so they are visible however pytest is invoked.
 
 import json
 import math
-import os
 import random
-import sys
 import threading
 import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 from triplex import hrv
 from triplex.config import RunConfig
@@ -32,7 +29,7 @@ from triplex.mqtt import (
 from triplex.mqtt.packets import decode_varint, encode_varint
 from triplex.report import METRIC_FIELDS
 from triplex.runner import compare_modes, run_pipeline
-from triplex.store import CappedCollection, DocStore
+from triplex.store import CappedCollection
 
 from flowcases import malformed_flows
 from oracles import CappedListModel, metrics_oracle
@@ -174,7 +171,7 @@ class TestAcceptance:
     def test_criterion_4_delivery_under_ack_drop(self):
         failures = []
         started = time.perf_counter()
-        coll = CappedCollection("window", threshold=6000)
+        coll = CappedCollection(6000)
         stop = threading.Event()
 
         with broker_start(BrokerConfig(ack_drop_rate=0.1, ack_drop_seed=42)) as broker:
@@ -226,7 +223,7 @@ class TestAcceptance:
     def test_criterion_5_capped_window_oracle(self):
         failures = []
         rng = random.Random(0xC5)
-        real = CappedCollection("w", threshold=50)
+        real = CappedCollection(50)
         model = CappedListModel(50)
         for op_index in range(10_000):
             roll = rng.random()
@@ -250,7 +247,7 @@ class TestAcceptance:
                     break
 
         # concurrent stress: count must never exceed the threshold
-        coll = CappedCollection("c", threshold=100)
+        coll = CappedCollection(100)
         overflow = []
         done = threading.Event()
 
@@ -287,9 +284,7 @@ class TestAcceptance:
 
     def test_criterion_6_timeout_and_defaults(self):
         failures = []
-        store = DocStore()
-        store.create_collection("window", threshold=10)
-        host = FunctionHost(store)
+        host = FunctionHost(CappedCollection(10))
         register_builtins(host)
 
         def sleepy(ctx, env):
@@ -373,11 +368,10 @@ class TestAcceptance:
 
         # and they run, not just parse
         try:
-            store = DocStore()
-            store.create_collection("window", threshold=5000)
-            rt = FlowRuntime(store=store)
+            window = CappedCollection(5000)
+            rt = FlowRuntime(window=window)
             for i in range(3):
-                store.insert("window", {"seq": i + 1, "t_ms": i * 10, "value": 0.5})
+                window.insert({"seq": i + 1, "t_ms": i * 10, "value": 0.5})
             with run_flow(load_flow(FLOWS_DIR / "debug_delete.json"), rt) as handle:
                 handle.inject("wipe")
                 handle.drain(5.0)
@@ -385,18 +379,17 @@ class TestAcceptance:
                     failures.append(f"debug_delete misbehaved: {handle.debug}")
 
             reports = []
-            store2 = DocStore()
-            store2.create_collection("window", threshold=5000)
-            rt2 = FlowRuntime(store=store2, report=reports.append)
+            window2 = CappedCollection(5000)
+            rt2 = FlowRuntime(window=window2, report=reports.append)
             for rec in (
                 {"seq": i + 1, "t_ms": round(i * 10), "value": 0.5 + v}
                 for i, v in enumerate(sine_wave(1.0, 100, 15.0))
             ):
-                store2.insert("window", rec)
+                window2.insert(rec)
             with broker_start(BrokerConfig()) as broker:
-                rt3 = FlowRuntime(store=store2, broker_address=broker.address)
+                rt3 = FlowRuntime(window=window2, broker_address=broker.address)
                 with run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt3) as ingest:
-                    if not ingest.wait_sources(5.0):
+                    if not ingest.wait_sources():
                         failures.append("ingest_window sources never came up")
                 with run_flow(load_flow(FLOWS_DIR / "analyze_report.json"), rt2) as analyzer:
                     deadline = time.monotonic() + 5.0

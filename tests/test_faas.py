@@ -20,16 +20,14 @@ from triplex.faas import (
     register_builtins,
 )
 from triplex.mqtt import BrokerConfig, broker_start, client_connect
-from triplex.store import DocStore
+from triplex.store import CappedCollection
 
 from polling import all_exit_within, stop_seconds_mid_poll
 from waveforms import sine_wave
 
 
 def fresh_host(threshold=3000, **kw) -> FunctionHost:
-    store = DocStore()
-    store.create_collection("window", threshold=threshold)
-    host = FunctionHost(store, **kw)
+    host = FunctionHost(CappedCollection(threshold), **kw)
     register_builtins(host)
     return host
 
@@ -340,9 +338,7 @@ class TestWorkerPool:
 class TestLogFile:
     def test_one_json_record_per_line(self, tmp_path):
         log = tmp_path / "invocations.log"
-        store = DocStore()
-        store.create_collection("window", threshold=10)
-        host = FunctionHost(store, log_path=log)
+        host = FunctionHost(CappedCollection(10), log_path=log)
         host.register(FunctionDescriptor("echo", echo))
 
         def boom(ctx, env):
@@ -420,6 +416,15 @@ class TestStoreOps:
         assert rec.outcome == "error"
         assert "body" in rec.error
 
+    def test_body_without_seq_is_refused_and_does_not_wedge_the_window(self):
+        host = fresh_host()
+        bad = send(host, "store_ops", {"op": "insert", "body": "hello"})
+        assert bad.outcome == "error"
+        assert "ValueError" in bad.error
+        good = send(host, "store_ops", {"op": "insert", "body": {"seq": 1, "t_ms": 0, "value": 0.5}})
+        assert good.outcome == "ok" and good.result == {"inserted": True}
+        assert [d.body["seq"] for d in host.window.get_all()] == [1]
+
 
 class TestMetricsCalc:
     def test_matches_direct_analysis(self):
@@ -466,13 +471,13 @@ class TestSubscriber:
         send(host, "subscriber", msg)
         send(host, "subscriber", msg)  # qos-1 style duplicate
         assert host.invocation_count("metrics_calc") == 1
-        assert host.store.count("window") == 2
+        assert host.window.count() == 2
 
     def test_malformed_record_is_an_error(self):
         host = fresh_host()
         rec = send(host, "subscriber", {"record": "not a record", "decimation": 1})
         assert rec.outcome == "error"
-        assert host.store.count("window") == 0
+        assert host.window.count() == 0
 
     def test_record_without_seq_is_an_error(self):
         host = fresh_host()
@@ -494,7 +499,7 @@ class TestStatelessness:
             for env in envelopes:
                 host.invoke("subscriber", env)
             final = send(host, "metrics_calc", {})
-            bodies = [d.body for d in host.store.collection("window").get_all()]
+            bodies = [d.body for d in host.window.get_all()]
             return bodies, final.result
 
         store_a, metrics_a = run_once()
@@ -522,7 +527,7 @@ class TestMqttTrigger:
         # metrics_calc reads the window back through store_ops, so the raw
         # store_ops total is inserts plus one get_all
         assert host.invocation_count("store_ops") == 101
-        assert host.store.count("window") == 100
+        assert host.window.count() == 100
 
     def test_decimation_one_analyzes_every_message(self):
         host = fresh_host()
@@ -550,7 +555,7 @@ class TestMqttTrigger:
         calls = [r for r in host.records if r.function == "subscriber"]
         assert [r.outcome for r in calls] == ["error", "ok"]
         assert "sensor record" in calls[0].error
-        assert [d.body["seq"] for d in host.store.get_all("window")] == [1]
+        assert [d.body["seq"] for d in host.window.get_all()] == [1]
 
     def test_no_messages_no_invocations(self):
         host = fresh_host()
@@ -587,7 +592,7 @@ class TestMqttTrigger:
                 deadline = time.monotonic() + 10.0
                 while trig.source.delivered < 200 and time.monotonic() < deadline:
                     time.sleep(0.02)
-        docs = host.store.get_all("window")
+        docs = host.window.get_all()
         assert [d.body["seq"] for d in docs] == list(range(1, 201))
 
     def test_unreachable_broker(self):

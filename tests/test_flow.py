@@ -7,10 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from triplex import hrv
 from triplex.flow import FlowRuntime, ParseError, load_flow, parse_flow, run_flow
 from triplex.mqtt import BrokerConfig, broker_start, client_connect
-from triplex.store import DocStore
+from triplex.store import CappedCollection
 
 from flowcases import malformed_flows
 from polling import all_exit_within, stop_seconds_mid_poll
@@ -20,10 +19,8 @@ FLOWS_DIR = Path(__file__).parent.parent / "src" / "triplex" / "flows"
 
 
 def make_runtime(**kw):
-    store = DocStore()
-    store.create_collection("window", threshold=kw.pop("threshold", 5000))
     reports = []
-    rt = FlowRuntime(store=store, report=reports.append, **kw)
+    rt = FlowRuntime(window=CappedCollection(kw.pop("threshold", 5000)), report=reports.append, **kw)
     return rt, reports
 
 
@@ -101,18 +98,18 @@ class TestEngineLocal:
     def test_debug_delete_flow(self):
         rt, _ = make_runtime()
         for i in range(3):
-            rt.store.insert("window", {"seq": i + 1, "t_ms": i, "value": 0.0})
+            rt.window.insert({"seq": i + 1, "t_ms": i, "value": 0.0})
         with run_flow(load_flow(FLOWS_DIR / "debug_delete.json"), rt) as handle:
             handle.inject("wipe")
             assert handle.drain(5.0)
             assert handle.debug == [("removed", 3)]
-            assert rt.store.count("window") == 0
+            assert rt.window.count() == 0
             assert handle.errors == []
 
     def test_get_all_analyze_report_chain(self):
         rt, reports = make_runtime()
         for rec in records_from(sine_wave(1, 100, 30)):
-            rt.store.insert("window", rec)
+            rt.window.insert(rec)
         graph = parse_flow(
             json.dumps(
                 {
@@ -201,7 +198,7 @@ class TestEngineLocal:
             assert handle.errors[0][0] == "calc"
             assert reports == []
             for rec in records_from(sine_wave(1, 100, 30)):
-                rt.store.insert("window", rec)
+                rt.window.insert(rec)
             handle.inject("go")
             assert handle.drain(5.0)
         assert len(reports) == 1  # the same flow recovered on the next tick
@@ -225,7 +222,29 @@ class TestEngineLocal:
             handle.inject("go", dict(rec))  # qos-1 style redelivery
             handle.inject("go", {"seq": 2, "t_ms": 10, "value": 0.6})
             assert handle.drain(5.0)
-        assert [d.body["seq"] for d in rt.store.get_all("window")] == [1, 2]
+        assert [d.body["seq"] for d in rt.window.get_all()] == [1, 2]
+
+    def test_non_record_goes_to_the_error_sink_and_does_not_wedge_the_window(self):
+        rt, _ = make_runtime()
+        graph = parse_flow(
+            json.dumps(
+                {
+                    "nodes": [
+                        {"id": "go", "type": "manual-inject"},
+                        {"id": "keep", "type": "store-insert"},
+                    ],
+                    "wires": [["go", "keep"]],
+                }
+            )
+        )
+        with run_flow(graph, rt) as handle:
+            handle.inject("go", {"tick": 0})
+            for seq in (1, 2, 3):
+                handle.inject("go", {"seq": seq, "t_ms": seq * 10, "value": 0.5})
+            assert handle.drain(5.0)
+        assert [d.body["seq"] for d in rt.window.get_all()] == [1, 2, 3]
+        assert len(handle.errors) == 1
+        assert handle.errors[0][0] == "keep" and "ValueError" in handle.errors[0][1]
 
     def test_per_source_ordering(self):
         rt, _ = make_runtime()
@@ -265,7 +284,7 @@ class TestEngineLocal:
         for i in range(200):
             handle.inject("go", {"seq": i + 1, "t_ms": i, "value": 0.0})
         handle.stop()
-        assert rt.store.count("window") == 200
+        assert rt.window.count() == 200
 
     def test_inject_requires_manual_inject_node(self):
         rt, _ = make_runtime()
@@ -288,9 +307,9 @@ class TestEngineWithBroker:
                     for rec in records_from(sine_wave(1, 100, 0.5)):
                         pub.publish("hr/patient1", json.dumps(rec).encode(), qos=1)
                 deadline = time.monotonic() + 5.0
-                while rt.store.count("window") < 50 and time.monotonic() < deadline:
+                while rt.window.count() < 50 and time.monotonic() < deadline:
                     time.sleep(0.05)
-            docs = rt.store.get_all("window")
+            docs = rt.window.get_all()
             assert [d.body["seq"] for d in docs] == list(range(1, 51))
             assert handle.errors == []
 
@@ -298,7 +317,7 @@ class TestEngineWithBroker:
         with broker_start(BrokerConfig()) as broker:
             rt, _ = make_runtime(broker_address=broker.address)
             handle = run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt)
-            assert handle.wait_sources(5.0)
+            assert handle.wait_sources()
             took = stop_seconds_mid_poll(handle.sources[0].session, handle.stop)
         assert not any(s.thread.is_alive() for s in handle.sources)
         assert took < 0.05  # the source polls with a 0.1 s timeout
@@ -308,7 +327,7 @@ class TestEngineWithBroker:
         rt, _ = make_runtime(broker_address=broker.address)
         handle = run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt)
         try:
-            assert handle.wait_sources(5.0)
+            assert handle.wait_sources()
             broker.stop()
             assert all_exit_within([s.thread for s in handle.sources], 1.0)
         finally:
@@ -321,14 +340,14 @@ class TestEngineWithBroker:
         probe.close()
         rt, _ = make_runtime(broker_address=dead_address)
         with run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt) as handle:
-            assert not handle.wait_sources(2.0)
+            assert not handle.wait_sources()
         assert [node_id for node_id, _ in handle.errors] == ["sensor-in"]
         assert "unreachable" in handle.errors[0][1]
 
     def test_missing_broker_address_fails_wait_sources(self):
         rt, _ = make_runtime()
         with run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt) as handle:
-            assert not handle.wait_sources(2.0)
+            assert not handle.wait_sources()
         assert handle.errors == [("sensor-in", "MqttError: the flow runtime has no broker address")]
 
     def test_bad_sensor_payload_goes_to_error_sink(self):
@@ -343,8 +362,8 @@ class TestEngineWithBroker:
                         "hr/patient1", json.dumps({"seq": 1, "t_ms": 0, "value": 1.0}).encode(), qos=1
                     )
                 deadline = time.monotonic() + 5.0
-                while rt.store.count("window") < 1 and time.monotonic() < deadline:
+                while rt.window.count() < 1 and time.monotonic() < deadline:
                     time.sleep(0.05)
-            assert rt.store.count("window") == 1
+            assert rt.window.count() == 1
             assert len(handle.errors) == 1
             assert handle.errors[0][0] == "sensor-in"

@@ -6,7 +6,7 @@ import pytest
 from triplex import hrv
 from triplex.config import ConfigError, RunConfig
 from triplex.flow import ParseError
-from triplex.monolith import SensorIngestor, WindowAnalyzer, WindowGateway
+from triplex.monolith import SensorIngestor, WindowAnalyzer
 from triplex.mqtt import BrokerConfig, broker_start, client_connect
 from triplex.report import METRIC_FIELDS
 from triplex.runner import (
@@ -16,7 +16,7 @@ from triplex.runner import (
     run_pipeline,
     shipped_flow_text,
 )
-from triplex.store import DocStore
+from triplex.store import CappedCollection
 
 from polling import all_exit_within, stop_seconds_mid_poll
 from waveforms import sine_wave
@@ -52,65 +52,37 @@ def gapped_pulse_signal(duration_s=14, rate=100, skip_beat=6):
     return samples
 
 
-class TestWindowGateway:
-    def test_add_dedups_and_fetch_orders(self):
-        store = DocStore()
-        store.create_collection("window", threshold=10)
-        gw = WindowGateway(store)
-        assert gw.add({"seq": 1, "t_ms": 0, "value": 0.0}) is True
-        assert gw.add({"seq": 1, "t_ms": 0, "value": 0.0}) is False
-        assert gw.add({"seq": 2, "t_ms": 10, "value": 1.0}) is True
-        assert [r["seq"] for r in gw.fetch()] == [1, 2]
-        assert gw.count() == 2
-
-    def test_eviction_moves_the_range(self):
-        store = DocStore()
-        store.create_collection("window", threshold=3)
-        gw = WindowGateway(store)
-        for rec in records_from([0.0] * 8):
-            gw.add(rec)
-        assert [r["seq"] for r in gw.fetch()] == [6, 7, 8]
-
-
 class TestWindowAnalyzer:
     def test_matches_direct_analysis(self):
         samples = sine_wave(1.0, 100, 20.0)
-        store = DocStore()
-        store.create_collection("window", threshold=5000)
-        gw = WindowGateway(store)
+        window = CappedCollection(5000)
         for rec in records_from(samples):
-            gw.add(rec)
-        analyzer = WindowAnalyzer(gw, sample_rate_hz=100.0)
+            window.insert_unique(rec)
+        analyzer = WindowAnalyzer(window, sample_rate_hz=100.0)
         metrics = analyzer.current_metrics()
         direct = hrv.analyze(hrv.Signal(samples, 100.0))
         assert metrics == direct
 
     def test_empty_window_raises(self):
-        store = DocStore()
-        store.create_collection("window", threshold=10)
-        analyzer = WindowAnalyzer(WindowGateway(store))
+        analyzer = WindowAnalyzer(CappedCollection(10))
         with pytest.raises(hrv.AnalysisError):
             analyzer.current_metrics()
 
     def test_metrics_fn_replaces_the_chain(self):
-        store = DocStore()
-        store.create_collection("window", threshold=10)
-        gw = WindowGateway(store)
-        gw.add({"seq": 1, "t_ms": 0, "value": 0.0})
-        analyzer = WindowAnalyzer(gw, metrics_fn=lambda records: len(records))
+        window = CappedCollection(10)
+        window.insert_unique({"seq": 1, "t_ms": 0, "value": 0.0})
+        analyzer = WindowAnalyzer(window, metrics_fn=lambda records: len(records))
         assert analyzer.current_metrics() == 1
 
 
 class TestSensorIngestor:
     def test_stores_and_fires_on_decimation(self):
-        store = DocStore()
-        store.create_collection("window", threshold=5000)
-        gw = WindowGateway(store)
-        analyzer = WindowAnalyzer(gw, metrics_fn=lambda records: len(records))
+        window = CappedCollection(5000)
+        analyzer = WindowAnalyzer(window, metrics_fn=lambda records: len(records))
         seen = []
         with broker_start(BrokerConfig()) as broker:
             with SensorIngestor(
-                gw, analyzer, broker.address, "hr/p1", decimation_n=10, on_metrics=seen.append
+                window, analyzer, broker.address, "hr/p1", decimation_n=10, on_metrics=seen.append
             ) as ingestor:
                 with client_connect(broker.address, "sensor") as pub:
                     for rec in records_from([0.5] * 25):
@@ -118,37 +90,33 @@ class TestSensorIngestor:
                 deadline = time.monotonic() + 5.0
                 while ingestor.source.delivered < 25 and time.monotonic() < deadline:
                     time.sleep(0.02)
-        assert gw.count() == 25
+        assert window.count() == 25
         # analyses at seqs 10 and 20, over 10 then 20 records
         assert seen == [10, 20]
         assert ingestor.errors == []
 
     def test_bad_payload_survives(self):
-        store = DocStore()
-        store.create_collection("window", threshold=100)
-        gw = WindowGateway(store)
-        analyzer = WindowAnalyzer(gw)
+        window = CappedCollection(100)
+        analyzer = WindowAnalyzer(window)
         with broker_start(BrokerConfig()) as broker:
-            with SensorIngestor(gw, analyzer, broker.address, "hr/p1") as ingestor:
+            with SensorIngestor(window, analyzer, broker.address, "hr/p1") as ingestor:
                 with client_connect(broker.address, "sensor") as pub:
                     pub.publish("hr/p1", b"\xff\xfe not a record", qos=1)
                     pub.publish(
                         "hr/p1", json.dumps({"seq": 1, "t_ms": 0, "value": 1.0}).encode(), qos=1
                     )
                 deadline = time.monotonic() + 5.0
-                while gw.count() < 1 and time.monotonic() < deadline:
+                while window.count() < 1 and time.monotonic() < deadline:
                     time.sleep(0.02)
-        assert gw.count() == 1
+        assert window.count() == 1
         assert len(ingestor.errors) == 1
 
     def test_insufficient_window_counts_skips(self):
-        store = DocStore()
-        store.create_collection("window", threshold=100)
-        gw = WindowGateway(store)
-        analyzer = WindowAnalyzer(gw, sample_rate_hz=100.0)
+        window = CappedCollection(100)
+        analyzer = WindowAnalyzer(window, sample_rate_hz=100.0)
         with broker_start(BrokerConfig()) as broker:
             with SensorIngestor(
-                gw, analyzer, broker.address, "hr/p1", decimation_n=2
+                window, analyzer, broker.address, "hr/p1", decimation_n=2
             ) as ingestor:
                 with client_connect(broker.address, "sensor") as pub:
                     for rec in records_from([0.5] * 4):
@@ -159,21 +127,17 @@ class TestSensorIngestor:
         assert ingestor.skipped_analyses == 2
 
     def test_stop_mid_poll_returns_at_once(self):
-        store = DocStore()
-        store.create_collection("window", threshold=10)
-        gw = WindowGateway(store)
+        window = CappedCollection(10)
         with broker_start(BrokerConfig()) as broker:
-            ingestor = SensorIngestor(gw, WindowAnalyzer(gw), broker.address, "hr/p1")
+            ingestor = SensorIngestor(window, WindowAnalyzer(window), broker.address, "hr/p1")
             took = stop_seconds_mid_poll(ingestor.source.session, ingestor.stop)
         assert not ingestor.source.thread.is_alive()
         assert took < 0.05  # the pump polls with a 0.1 s timeout
 
     def test_pump_exits_when_the_broker_stops(self):
-        store = DocStore()
-        store.create_collection("window", threshold=10)
-        gw = WindowGateway(store)
+        window = CappedCollection(10)
         broker = broker_start(BrokerConfig())
-        ingestor = SensorIngestor(gw, WindowAnalyzer(gw), broker.address, "hr/p1")
+        ingestor = SensorIngestor(window, WindowAnalyzer(window), broker.address, "hr/p1")
         try:
             broker.stop()
             assert all_exit_within([ingestor.source.thread], 1.0)
@@ -181,11 +145,9 @@ class TestSensorIngestor:
             ingestor.stop()
 
     def test_rejects_bad_decimation(self):
-        store = DocStore()
-        store.create_collection("window", threshold=10)
-        gw = WindowGateway(store)
+        window = CappedCollection(10)
         with pytest.raises(ValueError):
-            SensorIngestor(gw, WindowAnalyzer(gw), ("127.0.0.1", 1), "t", decimation_n=0)
+            SensorIngestor(window, WindowAnalyzer(window), ("127.0.0.1", 1), "t", decimation_n=0)
 
 
 class TestLoadSamples:

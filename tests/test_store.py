@@ -4,24 +4,20 @@ import threading
 
 import pytest
 
-from triplex.store import CappedCollection, DocStore, NoSuchCollection, StoreError
+from triplex.store import CappedCollection
 
 from oracles import CappedListModel
 
 
-def make_coll(threshold, **kw):
-    return CappedCollection("t", threshold, **kw)
-
-
 class TestCappedWindow:
     def test_fifo_eviction(self):
-        coll = make_coll(5)
+        coll = CappedCollection(5)
         for i in range(6):
             coll.insert({"i": i})
         assert [d.seq for d in coll.get_all()] == [2, 3, 4, 5, 6]
 
     def test_degenerate_window(self):
-        coll = make_coll(1)
+        coll = CappedCollection(1)
         coll.insert("first")
         coll.insert("second")
         docs = coll.get_all()
@@ -29,7 +25,7 @@ class TestCappedWindow:
         assert docs[0].body == "second"
 
     def test_6000_inserts_at_threshold_3000(self):
-        coll = make_coll(3000)
+        coll = CappedCollection(3000)
         for i in range(6000):
             coll.insert(i)
         assert coll.count() == 3000
@@ -38,21 +34,21 @@ class TestCappedWindow:
 
     def test_threshold_must_be_positive(self):
         with pytest.raises(ValueError):
-            make_coll(0)
+            CappedCollection(0)
 
 
 class TestBasicOps:
     def test_empty_get_all(self):
-        assert make_coll(10).get_all() == []
+        assert CappedCollection(10).get_all() == []
 
     def test_insertion_order_kept(self):
-        coll = make_coll(10)
+        coll = CappedCollection(10)
         coll.insert("A")
         coll.insert("B")
         assert [d.body for d in coll.get_all()] == ["A", "B"]
 
     def test_delete_all_returns_count(self):
-        coll = make_coll(10)
+        coll = CappedCollection(10)
         for i in range(3):
             coll.insert(i)
         assert coll.delete_all() == 3
@@ -60,50 +56,23 @@ class TestBasicOps:
         assert coll.delete_all() == 0
 
     def test_seq_monotone_across_delete_all(self):
-        coll = make_coll(10)
+        coll = CappedCollection(10)
         first = coll.insert("a")
         coll.delete_all()
         second = coll.insert("b")
         assert second > first
 
     def test_count_matches_get_all(self):
-        coll = make_coll(3)
+        coll = CappedCollection(3)
         for i in range(7):
             coll.insert(i)
             assert coll.count() == len(coll.get_all())
 
 
-class TestDocStore:
-    def test_create_and_use(self):
-        store = DocStore()
-        store.create_collection("hr", threshold=4)
-        store.insert("hr", {"v": 1})
-        assert store.count("hr") == 1
-        assert store.get_all("hr")[0].body == {"v": 1}
-        assert store.delete_all("hr") == 1
-
-    def test_unknown_collection(self):
-        store = DocStore()
-        for op in (
-            lambda: store.insert("nope", 1),
-            lambda: store.get_all("nope"),
-            lambda: store.delete_all("nope"),
-            lambda: store.count("nope"),
-        ):
-            with pytest.raises(NoSuchCollection):
-                op()
-
-    def test_duplicate_create_rejected(self):
-        store = DocStore()
-        store.create_collection("x", 1)
-        with pytest.raises(StoreError):
-            store.create_collection("x", 1)
-
-
 class TestOracleEquivalence:
     def test_randomized_ops_match_list_model(self):
         rng = random.Random(99)
-        coll = make_coll(50)
+        coll = CappedCollection(50)
         model = CappedListModel(50)
         for step in range(10_000):
             roll = rng.random()
@@ -122,7 +91,7 @@ class TestOracleEquivalence:
 
 class TestConcurrency:
     def test_window_bound_under_concurrent_writers(self):
-        coll = make_coll(100)
+        coll = CappedCollection(100)
         writers = 8
         per_writer = 2000
         stop = threading.Event()
@@ -160,12 +129,38 @@ class TestConcurrency:
 
 class TestInsertUnique:
     def test_replayed_seq_is_dropped(self):
-        coll = make_coll(10)
+        coll = CappedCollection(10)
         assert coll.insert_unique({"seq": 1})
         assert coll.insert_unique({"seq": 2})
         assert not coll.insert_unique({"seq": 2})
         assert not coll.insert_unique({"seq": 1})
         assert [d.body["seq"] for d in coll.get_all()] == [1, 2]
+
+    def test_eviction_moves_the_range(self):
+        coll = CappedCollection(3)
+        for seq in range(1, 9):
+            coll.insert_unique({"seq": seq, "t_ms": seq * 10, "value": 0.0})
+        assert [d.body["seq"] for d in coll.get_all()] == [6, 7, 8]
+
+    @pytest.mark.parametrize(
+        "bad",
+        ["hello", ["seq", 3], None, {"tick": 0}, {"seq": True}, {"seq": 1.5}, {"seq": "3"}],
+        ids=["text", "list", "none", "no-seq", "bool-seq", "float-seq", "text-seq"],
+    )
+    def test_non_record_is_refused_and_stores_nothing(self, bad):
+        coll = CappedCollection(10)
+        assert coll.insert_unique({"seq": 1})
+        with pytest.raises(ValueError):
+            coll.insert_unique(bad)
+        assert coll.count() == 1
+        assert coll.total_inserted() == 1
+
+    def test_refused_body_does_not_wedge_the_window(self):
+        coll = CappedCollection(10)
+        with pytest.raises(ValueError):
+            coll.insert_unique({"tick": 0})
+        assert [coll.insert_unique({"seq": s}) for s in (1, 2, 3)] == [True, True, True]
+        assert [d.body["seq"] for d in coll.get_all()] == [1, 2, 3]
 
     def test_concurrent_writers_store_each_seq_once(self):
         # every writer delivers the same stream, as overlapping redeliveries
@@ -173,7 +168,7 @@ class TestInsertUnique:
         records = [{"seq": s} for s in range(1, 5001)]
 
         def run_round():
-            coll = make_coll(len(records))
+            coll = CappedCollection(len(records))
             start = threading.Barrier(8)
 
             def write():
