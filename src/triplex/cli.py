@@ -13,19 +13,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
-import uuid
 from dataclasses import fields
 
 from . import hrv
 from .config import MODES, ConfigError, RunConfig, load_run_config
-from .emulator import ReplayConfig, ReplayError, replay
+from .emulator import ReplayError
 from .faas import FaasError
 from .flow import ParseError
-from .mqtt import BrokerConfig, MqttError, broker_start, client_connect
-from .report import ReportWriter, format_line, make_report
-from .runner import compare_modes, load_samples, run_pipeline
+from .mqtt import BrokerConfig, MqttError, broker_start
+from .report import ReportWriter, format_line, make_report, metrics_to_dict
+from .runner import compare_modes, load_samples, replay_into, run_pipeline
 
 _CONFIG_KEYS = tuple(f.name for f in fields(RunConfig))
 
@@ -77,17 +77,13 @@ def _resolve_config(args) -> RunConfig:
     return load_run_config(args.config, overrides)
 
 
-def _now_ms() -> int:
-    return int(time.time() * 1000)
-
-
 def cmd_analyze(args, cfg: RunConfig) -> int:
     try:
-        signal = hrv.load_signal(args.file, cfg.rate)
+        recorded = hrv.load_signal(args.file, cfg.rate)
     except OSError as exc:
         raise ConfigError(f"cannot read {args.file}: {exc}") from exc
-    metrics = hrv.analyze(signal, cfg.analysis())
-    record = make_report(metrics, "offline", _now_ms(), cfg.analysis())
+    metrics = hrv.analyze(recorded, cfg.analysis())
+    record = make_report(metrics_to_dict(metrics), "offline", cfg.analysis())
     print(format_line(record))
     if cfg.report:
         writer = ReportWriter(cfg.report)
@@ -97,10 +93,14 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
 
 
 def cmd_broker(args, cfg: RunConfig) -> int:
+    # An interrupt is the only way to stop this command. A shell without job
+    # control starts a background command with SIGINT ignored, and Python
+    # keeps an inherited ignore, so such a broker could only be killed.
+    signal.signal(signal.SIGINT, signal.default_int_handler)
     with broker_start(BrokerConfig(host=cfg.host, port=cfg.port)) as broker:
         host, port = broker.address
-        print(f"listening on {host}:{port}", flush=True)
         try:
+            print(f"listening on {host}:{port}", flush=True)
             while True:
                 time.sleep(0.2)
         except KeyboardInterrupt:
@@ -113,15 +113,7 @@ def cmd_emulate(args, cfg: RunConfig) -> int:
         raise ConfigError(f"{cfg.data}: no samples")
     if cfg.port == 0:
         raise ConfigError("emulate needs the port of a running broker (--port)")
-    with client_connect(
-        (cfg.host, cfg.port), client_id=f"emulator-{uuid.uuid4().hex[:8]}", keep_alive_s=30
-    ) as pub:
-        report = replay(
-            ReplayConfig(
-                cfg.data, topic=cfg.topic, sample_rate_hz=cfg.rate, speedup=cfg.speedup, qos=1
-            ),
-            pub,
-        )
+    report = replay_into((cfg.host, cfg.port), cfg)
     print(f"published {report.published_count} records in {report.duration_ms:.0f} ms")
     return 0
 

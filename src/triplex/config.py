@@ -9,8 +9,8 @@ names the file when no --config flag is given.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import dataclass, replace
+from typing import Optional, get_args, get_type_hints
 
 from .hrv import AnalysisConfig
 
@@ -62,27 +62,12 @@ class RunConfig:
         return AnalysisConfig(min_bpm=self.min_bpm, max_bpm=self.max_bpm)
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw, 10)
+def _parser(hint):
+    """A field's annotated type parses its value; Optional[T] parses as T."""
+    return next((arg for arg in get_args(hint) if arg is not type(None)), hint)
 
 
-_FIELD_PARSERS = {
-    "host": str,
-    "port": _parse_int,
-    "topic": str,
-    "threshold": _parse_int,
-    "decimation": _parse_int,
-    "data": str,
-    "rate": float,
-    "speedup": float,
-    "report": str,
-    "flow_file": str,
-    "min_bpm": float,
-    "max_bpm": float,
-    "mode": str,
-}
-
-assert set(_FIELD_PARSERS) == {f.name for f in fields(RunConfig)}
+_PARSERS = {name: _parser(hint) for name, hint in get_type_hints(RunConfig).items()}
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict:
@@ -97,10 +82,10 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _FIELD_PARSERS:
+        if key not in _PARSERS:
             raise ConfigError(f"{origin}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _FIELD_PARSERS[key](value)
+            values[key] = _PARSERS[key](value)
         except ValueError:
             raise ConfigError(f"{origin}:{lineno}: bad value for {key}: {value!r}") from None
     return values
@@ -123,7 +108,7 @@ def load_run_config(path=None, overrides: Optional[dict] = None, env=None) -> Ru
     values = parse_config_file(path) if path else {}
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
-    unknown = set(values) - set(_FIELD_PARSERS)
+    unknown = set(values) - set(_PARSERS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return replace(RunConfig(), **values).validate()

@@ -29,7 +29,7 @@ from typing import Any, Callable, Optional
 
 from . import hrv
 from .report import metrics_to_dict
-from .source import BrokerUnreachable, MqttSource
+from .source import MqttSource
 from .store import CappedCollection
 
 
@@ -43,10 +43,6 @@ class RegistrationError(FaasError):
 
 class NoSuchFunction(FaasError):
     """Invoke or trigger named a function that was never registered."""
-
-
-class TriggerError(FaasError):
-    """The MQTT trigger could not reach the broker."""
 
 
 def _now_ms() -> int:
@@ -365,13 +361,13 @@ def fn_subscriber(ctx: InvocationContext, env: EventEnvelope):
         ctx.invoke("metrics_calc", {})
 
 
-def register_builtins(host: FunctionHost, timeout_ms: int = 60_000, memory_mb: int = 128) -> None:
+def register_builtins(host: FunctionHost) -> None:
     for name, handler in (
         ("store_ops", fn_store_ops),
         ("metrics_calc", fn_metrics_calc),
         ("subscriber", fn_subscriber),
     ):
-        host.register(FunctionDescriptor(name, handler, timeout_ms, memory_mb))
+        host.register(FunctionDescriptor(name, handler))
 
 
 class TriggerHandle:
@@ -429,7 +425,5 @@ def bind_mqtt_trigger(
     host.descriptor(function_name)  # fail now, not on the pump thread
     if not _positive_int(decimation_n):
         raise ValueError("decimation_n must be a positive integer")
-    try:
-        return TriggerHandle(host, address, topic, function_name, decimation_n)
-    except BrokerUnreachable as exc:
-        raise TriggerError(str(exc)) from exc
+    # a broker that never answers raises BrokerUnreachable, as SensorIngestor does
+    return TriggerHandle(host, address, topic, function_name, decimation_n)

@@ -13,25 +13,17 @@ from __future__ import annotations
 import copy
 import queue
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .. import hrv
 from ..mqtt import MqttError
-from ..report import metrics_to_dict, report_from_metric_dict
+from ..report import make_report, metrics_to_dict
 from ..source import MqttSource
 from ..store import CappedCollection
 from .parser import FlowGraph
 
 _SHUTDOWN = object()
-
-
-def _now_ms() -> int:
-    return int(time.time() * 1000)
-
-
-MODE_TAG = "flow"  # the mode named in every report this runtime writes
 
 
 @dataclass
@@ -152,8 +144,7 @@ class FlowHandle:
             label = node.config.get("label", node.id)
             self.debug.append((label, payload))
         elif kind == "report":
-            record = report_from_metric_dict(payload, MODE_TAG, _now_ms(), rt.analysis)
-            rt.report(record)
+            rt.report(make_report(payload, "flow", rt.analysis))
         else:
             # sources never appear here: wires into them are rejected at parse
             raise AssertionError(f"message routed to source node {node.id!r}")
@@ -183,7 +174,7 @@ class FlowHandle:
     def counters(self) -> dict:
         return {"node_errors": len(self.errors)}
 
-    def stop(self, drain_timeout_s: float = 10.0):
+    def stop(self):
         """Sources first, then drain in-flight messages, then the worker."""
         if self._stopped:
             return
@@ -193,7 +184,7 @@ class FlowHandle:
             source.stop()
         for t in self._timers:
             t.join(timeout=5.0)
-        self.drain(drain_timeout_s)
+        self.drain(10.0)
         self._queue.put(_SHUTDOWN)
         self._worker.join(timeout=5.0)
 

@@ -17,29 +17,20 @@ from .store import CappedCollection
 
 
 class WindowAnalyzer:
-    """Metrics over the window as it stands right now.
-
-    metrics_fn exists so a run can swap the analysis chain out from under
-    this one pipeline; the cross-pipeline comparison uses that to prove
-    it notices when one of them drifts.
-    """
+    """Metrics over the window as it stands right now."""
 
     def __init__(
         self,
         window: CappedCollection,
         analysis: Optional[hrv.AnalysisConfig] = None,
         sample_rate_hz: float = 100.0,
-        metrics_fn: Optional[Callable[[list], hrv.HrvMetrics]] = None,
     ):
         self.window = window
         self.analysis = analysis if analysis is not None else hrv.AnalysisConfig()
         self.sample_rate_hz = sample_rate_hz
-        self._metrics_fn = metrics_fn
 
     def current_metrics(self) -> hrv.HrvMetrics:
         records = [doc.body for doc in self.window.get_all()]
-        if self._metrics_fn is not None:
-            return self._metrics_fn(records)
         signal = hrv.signal_from_records(records, self.sample_rate_hz)
         return hrv.analyze(signal, self.analysis)
 

@@ -39,19 +39,22 @@ from .packets import (
 )
 from .topics import topic_matches
 
+# MQTT 3.1.1 section 3.1.2.10: a server drops a client it has not heard
+# from within one and a half keep-alive periods.
+_KEEP_ALIVE_GRACE = 1.5
+_SWEEP_INTERVAL_S = 0.05  # how often the sweeper looks for silent sessions
+
 
 @dataclass
 class BrokerConfig:
     host: str = "127.0.0.1"
     port: int = 0  # 0 picks an ephemeral port
     max_sessions: int = 64
-    keep_alive_grace: float = 1.5
     # fault injection: probability of not sending a PubAck back to a
     # publisher; the publisher's retransmission path is exercised by tests
     ack_drop_rate: float = 0.0
     ack_drop_seed: int = 0
     clock: callable = time.monotonic
-    sweep_interval_s: float = 0.05
 
     def __post_init__(self):
         if self.max_sessions < 1:
@@ -329,14 +332,14 @@ class Broker:
     # -- expiry and shutdown ---------------------------------------------
 
     def _sweep_loop(self):
-        while not self._stopping.wait(self.cfg.sweep_interval_s):
+        while not self._stopping.wait(_SWEEP_INTERVAL_S):
             now = self.cfg.clock()
             with self._registry_lock:
                 victims = [
                     s
                     for s in self._sessions.values()
                     if s.keep_alive_s > 0
-                    and now - s.last_activity > s.keep_alive_s * self.cfg.keep_alive_grace
+                    and now - s.last_activity > s.keep_alive_s * _KEEP_ALIVE_GRACE
                 ]
             for session in victims:
                 self._bump("sessions_expired")

@@ -37,6 +37,7 @@ from .packets import (
 # qos-1 messages that may wait for their PUBACK at once (MQTT 5 calls
 # this the receive maximum)
 _MAX_IN_FLIGHT = 64
+_CONNECT_TIMEOUT_S = 10.0
 
 
 class _Waiter:
@@ -82,14 +83,13 @@ class ClientSession:
         keep_alive_s: int = 0,
         ack_timeout_s: float = 2.0,
         ack_attempts: int = 3,
-        connect_timeout_s: float = 10.0,
         auto_ping: bool = True,
     ):
         self.client_id = client_id
         self.keep_alive_s = keep_alive_s
         self.ack_timeout_s = ack_timeout_s
         self.ack_attempts = ack_attempts
-        self._sock = socket.create_connection(address, timeout=connect_timeout_s)
+        self._sock = socket.create_connection(address, timeout=_CONNECT_TIMEOUT_S)
         # pipelined publishes and acks are small packets sent back to back;
         # Nagle's algorithm would hold each behind the broker's delayed ack
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)

@@ -7,6 +7,7 @@ streaming diff over these lines.
 from __future__ import annotations
 
 import json
+import time
 
 from .hrv import AnalysisConfig, HrvMetrics
 
@@ -38,12 +39,9 @@ def flags_for(bpm: float, cfg: AnalysisConfig) -> list:
     return flags
 
 
-def make_report(m: HrvMetrics, mode: str, ts_ms: int, cfg: AnalysisConfig) -> dict:
-    return report_from_metric_dict(metrics_to_dict(m), mode, ts_ms, cfg)
-
-
-def report_from_metric_dict(metrics: dict, mode: str, ts_ms: int, cfg: AnalysisConfig) -> dict:
-    record = {"ts_ms": ts_ms, "mode": mode}
+def make_report(metrics: dict, mode: str, cfg: AnalysisConfig) -> dict:
+    """One report record over metrics_to_dict's fields, stamped now."""
+    record = {"ts_ms": int(time.time() * 1000), "mode": mode}
     record.update((name, metrics.get(name)) for name in METRIC_FIELDS)
     record["flags"] = flags_for(record["bpm"], cfg)
     return record

@@ -18,23 +18,22 @@ them back to back and says so, or names the first field that drifted.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Callable, Optional
 
 from . import hrv
 from .config import MODES, ConfigError, RunConfig
-from .emulator import ReplayConfig, replay
+from .emulator import ReplayConfig, ReplayReport, replay
 from .faas import FunctionHost, bind_mqtt_trigger, register_builtins
 from .flow import FlowRuntime, parse_flow, run_flow
 from .monolith import SensorIngestor, WindowAnalyzer
 from .mqtt import BrokerConfig, broker_start, client_connect
-from .report import METRIC_FIELDS, make_report, report_from_metric_dict
+from .report import METRIC_FIELDS, make_report, metrics_to_dict
 from .store import CappedCollection
 
 DEFAULT_FLOW = "health_monitor.json"
@@ -60,10 +59,6 @@ class RunResult:
         return {name: last[name] for name in METRIC_FIELDS}
 
 
-def _now_ms() -> int:
-    return int(time.time() * 1000)
-
-
 def load_samples(cfg: RunConfig) -> list:
     """Pre-read the data file; any defect is a configuration problem."""
     if cfg.data is None:
@@ -76,8 +71,8 @@ def load_samples(cfg: RunConfig) -> list:
         raise ConfigError(str(exc)) from exc
 
 
-def shipped_flow_text(name: str = DEFAULT_FLOW) -> str:
-    return resources.files("triplex").joinpath("flows").joinpath(name).read_text("utf-8")
+def shipped_flow_text() -> str:
+    return resources.files("triplex").joinpath("flows").joinpath(DEFAULT_FLOW).read_text("utf-8")
 
 
 def graph_for_run(cfg: RunConfig):
@@ -90,12 +85,14 @@ def graph_for_run(cfg: RunConfig):
             raise ConfigError(f"cannot read flow file {cfg.flow_file}: {exc}") from exc
     else:
         text = shipped_flow_text()
-    parse_flow(text)  # reject malformed input before we start editing it
-    doc = json.loads(text)
-    for node in doc["nodes"]:
-        if node["type"] == "mqtt-in":
-            node["config"]["topic"] = cfg.topic
-    return parse_flow(json.dumps(doc))
+    graph = parse_flow(text)
+    nodes = tuple(
+        replace(node, config={**node.config, "topic": cfg.topic})
+        if node.type == "mqtt-in"
+        else node
+        for node in graph.nodes
+    )
+    return replace(graph, nodes=nodes)
 
 
 def _wait_for(pred: Callable[[], bool], timeout_s: float, interval_s: float = 0.02) -> bool:
@@ -113,51 +110,31 @@ def _wait_for(pred: Callable[[], bool], timeout_s: float, interval_s: float = 0.
     return pred()
 
 
-def _replay_into(address, cfg: RunConfig) -> int:
+def replay_into(address, cfg: RunConfig) -> ReplayReport:
+    """Publish cfg.data to cfg.topic at the broker at address, qos 1."""
     with client_connect(address, client_id=f"replay-{uuid.uuid4().hex[:8]}", keep_alive_s=30) as pub:
-        report = replay(
-            ReplayConfig(
-                cfg.data,
-                topic=cfg.topic,
-                sample_rate_hz=cfg.rate,
-                speedup=cfg.speedup,
-                qos=1,
-            ),
+        return replay(
+            ReplayConfig(cfg.data, topic=cfg.topic, sample_rate_hz=cfg.rate, speedup=cfg.speedup),
             pub,
         )
-    return report.published_count
-
-
-def _no_rejection_chain(analysis: hrv.AnalysisConfig, rate: float):
-    """Tampered analysis for the comparison's self-test: outliers kept."""
-
-    def metrics_fn(records):
-        signal = hrv.signal_from_records(records, rate)
-        peaks = hrv.detect_peaks(signal, analysis)
-        rr = hrv.compute_rr(peaks, signal.sample_rate_hz)
-        return hrv.compute_metrics(rr)
-
-    return metrics_fn
 
 
 @contextmanager
-def _monolith(cfg: RunConfig, address, window: CappedCollection, emit, tamper: bool):
+def _monolith(cfg: RunConfig, address, window: CappedCollection, emit):
     analysis = cfg.analysis()
-    metrics_fn = _no_rejection_chain(analysis, cfg.rate) if tamper else None
-    analyzer = WindowAnalyzer(window, analysis, cfg.rate, metrics_fn=metrics_fn)
     with SensorIngestor(
         window,
-        analyzer,
+        WindowAnalyzer(window, analysis, cfg.rate),
         address,
         cfg.topic,
         cfg.decimation,
-        on_metrics=lambda m: emit(make_report(m, "monolith", _now_ms(), analysis)),
+        on_metrics=lambda m: emit(make_report(metrics_to_dict(m), "monolith", analysis)),
     ) as ingestor:
         yield ingestor
 
 
 @contextmanager
-def _flow(cfg: RunConfig, address, window: CappedCollection, emit, tamper: bool):
+def _flow(cfg: RunConfig, address, window: CappedCollection, emit):
     graph = graph_for_run(cfg)
     runtime = FlowRuntime(
         window=window,
@@ -173,12 +150,12 @@ def _flow(cfg: RunConfig, address, window: CappedCollection, emit, tamper: bool)
 
 
 @contextmanager
-def _faas(cfg: RunConfig, address, window: CappedCollection, emit, tamper: bool):
+def _faas(cfg: RunConfig, address, window: CappedCollection, emit):
     analysis = cfg.analysis()
 
     def observe(rec):
         if rec.function == "metrics_calc" and rec.outcome == "ok":
-            emit(report_from_metric_dict(rec.result, "faas", _now_ms(), analysis))
+            emit(make_report(rec.result, "faas", analysis))
 
     with FunctionHost(window, analysis=analysis, sample_rate_hz=cfg.rate) as host:
         register_builtins(host)
@@ -194,15 +171,10 @@ _PIPELINES = {"monolith": _monolith, "flow": _flow, "faas": _faas}
 
 
 def run_pipeline(
-    mode: str,
-    cfg: RunConfig,
-    tamper: bool = False,
-    on_report: Optional[Callable[[dict], None]] = None,
+    mode: str, cfg: RunConfig, on_report: Optional[Callable[[dict], None]] = None
 ) -> RunResult:
     if mode not in MODES:
         raise ConfigError(f"unknown mode {mode!r}")
-    if tamper and mode != "monolith":
-        raise ValueError("the tamper hook exists only for the direct-call pipeline")
     samples = load_samples(cfg)
     expected = len(samples)
 
@@ -216,8 +188,8 @@ def run_pipeline(
     started = time.perf_counter()
     with broker_start(BrokerConfig(host=cfg.host, port=cfg.port)) as broker:
         coll = CappedCollection(cfg.threshold)
-        with _PIPELINES[mode](cfg, broker.address, coll, emit, tamper) as pipeline:
-            published = _replay_into(broker.address, cfg) if expected else 0
+        with _PIPELINES[mode](cfg, broker.address, coll, emit) as pipeline:
+            published = replay_into(broker.address, cfg).published_count if expected else 0
             settled = _wait_for(lambda: coll.total_inserted() >= published, 30.0)
             settled = _wait_for(lambda: pipeline.drained(published), 30.0) and settled
             pipeline.finalize()
@@ -267,12 +239,8 @@ def _verdict(results: dict) -> tuple:
     return "EQUAL", None
 
 
-def compare_modes(cfg: RunConfig, tamper_mode: Optional[str] = None) -> ComparisonReport:
-    if tamper_mode not in (None, "monolith"):
-        raise ValueError("tamper hook exists only for the direct-call pipeline")
-    results = {}
-    for mode in MODES:
-        results[mode] = run_pipeline(mode, cfg, tamper=(mode == tamper_mode))
+def compare_modes(cfg: RunConfig) -> ComparisonReport:
+    results = {mode: run_pipeline(mode, cfg) for mode in MODES}
     verdict, field = _verdict(results)
     modes = {
         mode: {

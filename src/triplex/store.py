@@ -10,10 +10,21 @@ step as far as any reader can observe.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from dataclasses import dataclass
 from typing import Any
+
+
+def _finite_number(value) -> bool:
+    """An int or a float that is neither infinite nor NaN; a bool is not one."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
 
 
 @dataclass(frozen=True)
@@ -43,17 +54,25 @@ class CappedCollection:
     def insert_unique(self, record) -> bool:
         """Insert a sensor record unless it replays an already-stored seq.
 
-        Only a dict whose seq is an int is a record; anything else raises
-        ValueError and stores nothing, so the newest document always has a
-        seq to compare with. Records arrive in seq order on one connection,
-        so comparing against the newest retained record catches qos-1
-        redeliveries. The check and the insert are one step under the lock,
+        Only a dict whose seq is an int and whose t_ms and value are finite
+        numbers is a record; anything else raises ValueError and stores
+        nothing. So the newest document always has a seq to compare with,
+        and every window the analysis reads is one it can convert. Records
+        arrive in seq order on one connection, so comparing against the
+        newest retained record catches qos-1 redeliveries. The check and the insert are one step under the lock,
         so concurrent writers cannot both store one seq. Every pipeline uses
         this same rule, which is what keeps them comparable.
         """
         seq = record.get("seq") if isinstance(record, dict) else None
-        if type(seq) is not int:
-            raise ValueError(f"a sensor record is an object with an integer seq, got {record!r:.80}")
+        if not (
+            type(seq) is int
+            and _finite_number(record.get("t_ms"))
+            and _finite_number(record.get("value"))
+        ):
+            raise ValueError(
+                "a sensor record is an object with an integer seq and finite t_ms and value,"
+                f" got {record!r:.80}"
+            )
         with self._lock:
             if self._docs and seq <= self._docs[-1].body["seq"]:
                 return False

@@ -222,9 +222,21 @@ class TestCompare:
 
 
 class TestBrokerCommand:
+    BROKER = [sys.executable, "-X", "faulthandler", "-m", "triplex.cli", "broker", "--port", "0"]
+
     def test_runs_until_interrupted(self):
+        self.interrupt_and_wait(self.BROKER)
+
+    def test_interrupt_stops_it_when_started_with_sigint_ignored(self):
+        # as a non-interactive shell starts a background command
+        self.interrupt_and_wait(["sh", "-c", 'trap "" INT; exec "$@"', "sh", *self.BROKER])
+
+    @staticmethod
+    def interrupt_and_wait(argv):
+        # with faulthandler on, SIGABRT makes the child print the stack of
+        # every thread to stderr before it dies
         proc = subprocess.Popen(
-            [sys.executable, "-m", "triplex.cli", "broker", "--port", "0"],
+            argv,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
@@ -234,7 +246,13 @@ class TestBrokerCommand:
             assert line.startswith("listening on 127.0.0.1:")
             time.sleep(0.2)
             proc.send_signal(signal.SIGINT)
-            assert proc.wait(timeout=10) == 0
+            try:
+                code = proc.wait(timeout=10)
+            except subprocess.TimeoutExpired:
+                proc.send_signal(signal.SIGABRT)
+                _, stderr = proc.communicate(timeout=10)
+                pytest.fail(f"broker still up 10 s after SIGINT; its threads:\n{stderr}")
+            assert code == 0, proc.stderr.read()
         finally:
             if proc.poll() is None:
                 proc.kill()

@@ -14,16 +14,28 @@ from triplex.faas import (
     FunctionHost,
     NoSuchFunction,
     RegistrationError,
-    TriggerError,
     bind_mqtt_trigger,
     make_envelope,
     register_builtins,
 )
 from triplex.mqtt import BrokerConfig, broker_start, client_connect
+from triplex.source import BrokerUnreachable
 from triplex.store import CappedCollection
 
 from polling import all_exit_within, stop_seconds_mid_poll
 from waveforms import sine_wave
+
+
+# A body that is not a sensor record, then records whose value or t_ms
+# the analysis could not use.
+MALFORMED_BODIES = [
+    "hello",
+    {"seq": 1, "t_ms": 0},
+    {"seq": 1, "t_ms": 0, "value": "0.5"},
+    {"seq": 1, "t_ms": 0, "value": None},
+    {"seq": 1, "t_ms": 0, "value": float("nan")},
+    {"seq": 1, "value": 0.5},
+]
 
 
 def fresh_host(threshold=3000, **kw) -> FunctionHost:
@@ -418,9 +430,10 @@ class TestStoreOps:
 
     def test_body_without_seq_is_refused_and_does_not_wedge_the_window(self):
         host = fresh_host()
-        bad = send(host, "store_ops", {"op": "insert", "body": "hello"})
-        assert bad.outcome == "error"
-        assert "ValueError" in bad.error
+        for body in MALFORMED_BODIES:
+            bad = send(host, "store_ops", {"op": "insert", "body": body})
+            assert bad.outcome == "error", body
+            assert "ValueError" in bad.error
         good = send(host, "store_ops", {"op": "insert", "body": {"seq": 1, "t_ms": 0, "value": 0.5}})
         assert good.outcome == "ok" and good.result == {"inserted": True}
         assert [d.body["seq"] for d in host.window.get_all()] == [1]
@@ -603,7 +616,7 @@ class TestMqttTrigger:
         probe.close()
         host = fresh_host()
         started = time.monotonic()
-        with pytest.raises(TriggerError, match="unreachable"):
+        with pytest.raises(BrokerUnreachable, match="unreachable"):
             bind_mqtt_trigger(host, dead_address, "hr/p1")
         # three sleeps between four attempts: 0.1 + 0.2 + 0.4
         assert time.monotonic() - started >= 0.7 - 0.02

@@ -237,14 +237,23 @@ class TestEngineLocal:
                 }
             )
         )
+        malformed = [
+            {"tick": 0},
+            {"seq": 1, "t_ms": 0},
+            {"seq": 1, "t_ms": 0, "value": "0.5"},
+            {"seq": 1, "t_ms": 0, "value": None},
+            {"seq": 1, "t_ms": 0, "value": float("nan")},
+            {"seq": 1, "value": 0.5},
+        ]
         with run_flow(graph, rt) as handle:
-            handle.inject("go", {"tick": 0})
+            for payload in malformed:
+                handle.inject("go", payload)
             for seq in (1, 2, 3):
                 handle.inject("go", {"seq": seq, "t_ms": seq * 10, "value": 0.5})
             assert handle.drain(5.0)
         assert [d.body["seq"] for d in rt.window.get_all()] == [1, 2, 3]
-        assert len(handle.errors) == 1
-        assert handle.errors[0][0] == "keep" and "ValueError" in handle.errors[0][1]
+        assert len(handle.errors) == len(malformed)
+        assert all(node == "keep" and "ValueError" in err for node, err in handle.errors)
 
     def test_per_source_ordering(self):
         rt, _ = make_runtime()

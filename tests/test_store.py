@@ -9,6 +9,10 @@ from triplex.store import CappedCollection
 from oracles import CappedListModel
 
 
+def record(seq):
+    return {"seq": seq, "t_ms": seq * 10, "value": 0.5}
+
+
 class TestCappedWindow:
     def test_fifo_eviction(self):
         coll = CappedCollection(5)
@@ -130,10 +134,10 @@ class TestConcurrency:
 class TestInsertUnique:
     def test_replayed_seq_is_dropped(self):
         coll = CappedCollection(10)
-        assert coll.insert_unique({"seq": 1})
-        assert coll.insert_unique({"seq": 2})
-        assert not coll.insert_unique({"seq": 2})
-        assert not coll.insert_unique({"seq": 1})
+        assert coll.insert_unique(record(1))
+        assert coll.insert_unique(record(2))
+        assert not coll.insert_unique(record(2))
+        assert not coll.insert_unique(record(1))
         assert [d.body["seq"] for d in coll.get_all()] == [1, 2]
 
     def test_eviction_moves_the_range(self):
@@ -144,12 +148,33 @@ class TestInsertUnique:
 
     @pytest.mark.parametrize(
         "bad",
-        ["hello", ["seq", 3], None, {"tick": 0}, {"seq": True}, {"seq": 1.5}, {"seq": "3"}],
-        ids=["text", "list", "none", "no-seq", "bool-seq", "float-seq", "text-seq"],
+        [
+            "hello",
+            ["seq", 3],
+            None,
+            {"tick": 0},
+            {**record(2), "seq": True},
+            {**record(2), "seq": 1.5},
+            {**record(2), "seq": "3"},
+            {"seq": 2, "t_ms": 20},
+            {**record(2), "value": "0.5"},
+            {**record(2), "value": None},
+            {**record(2), "value": float("nan")},
+            {**record(2), "value": float("inf")},
+            {**record(2), "value": True},
+            {"seq": 2, "value": 0.5},
+            {**record(2), "t_ms": float("nan")},
+            {**record(2), "t_ms": 10**400},
+        ],
+        ids=[
+            "text", "list", "none", "no-seq", "bool-seq", "float-seq", "text-seq",
+            "no-value", "text-value", "null-value", "nan-value", "inf-value", "bool-value",
+            "no-t_ms", "nan-t_ms", "huge-t_ms",
+        ],
     )
     def test_non_record_is_refused_and_stores_nothing(self, bad):
         coll = CappedCollection(10)
-        assert coll.insert_unique({"seq": 1})
+        assert coll.insert_unique(record(1))
         with pytest.raises(ValueError):
             coll.insert_unique(bad)
         assert coll.count() == 1
@@ -159,13 +184,13 @@ class TestInsertUnique:
         coll = CappedCollection(10)
         with pytest.raises(ValueError):
             coll.insert_unique({"tick": 0})
-        assert [coll.insert_unique({"seq": s}) for s in (1, 2, 3)] == [True, True, True]
+        assert [coll.insert_unique(record(s)) for s in (1, 2, 3)] == [True, True, True]
         assert [d.body["seq"] for d in coll.get_all()] == [1, 2, 3]
 
     def test_concurrent_writers_store_each_seq_once(self):
         # every writer delivers the same stream, as overlapping redeliveries
         # would; a check-then-insert race stores some seq twice
-        records = [{"seq": s} for s in range(1, 5001)]
+        records = [record(s) for s in range(1, 5001)]
 
         def run_round():
             coll = CappedCollection(len(records))
