@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    overrides = {key: getattr(args, key) for key in _CONFIG_KEYS if hasattr(args, key)}
+    overrides = {key: getattr(args, key) for key in _CONFIG_KEYS}
     return load_run_config(args.config, overrides)
 
 

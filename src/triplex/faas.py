@@ -7,19 +7,20 @@ descriptor's timeout for the result. A handler that overruns gets a
 stays busy until the handler returns and then rejoins the pool. Handlers
 receive (ctx, envelope) and must keep no state between calls. Everything
 they may touch arrives through the context: the run's capped window, the
-analysis settings, and invoke() for calling sibling functions.
+analysis settings, and invoke() for calling sibling functions. An
+envelope carries an event id and the payload, nothing else.
 
 The built-in trio wires a telemetry pipeline out of chained functions:
 subscriber stores each sensor record through store_ops and periodically
 asks metrics_calc for fresh numbers, which in turn pulls the window back
 out through store_ops. An MQTT trigger feeds subscriber one message at a
-time, serialized, so seq order survives the hop.
+time, serialized, so seq order survives the hop, and hands every set of
+numbers subscriber returns to its on_metrics, as SensorIngestor does.
 """
 
 from __future__ import annotations
 
 import copy
-import json
 import threading
 import time
 import uuid
@@ -43,10 +44,6 @@ class RegistrationError(FaasError):
 
 class NoSuchFunction(FaasError):
     """Invoke or trigger named a function that was never registered."""
-
-
-def _now_ms() -> int:
-    return int(time.time() * 1000)
 
 
 @dataclass(frozen=True)
@@ -75,8 +72,6 @@ def _positive_int(value) -> bool:
 @dataclass(frozen=True)
 class EventEnvelope:
     event_id: str
-    source: str
-    ts_ms: int
     payload: Any
 
 
@@ -90,31 +85,17 @@ class InvocationRecord:
     error: Optional[str] = None
 
 
-def make_envelope(source: str, payload: Any, ts_ms: Optional[int] = None) -> EventEnvelope:
-    if ts_ms is None:
-        ts_ms = _now_ms()
-    return EventEnvelope(uuid.uuid4().hex, source, ts_ms, payload)
-
-
-def record_to_dict(rec: InvocationRecord) -> dict:
-    return {
-        "event_id": rec.event_id,
-        "function": rec.function,
-        "outcome": rec.outcome,
-        "duration_ms": rec.duration_ms,
-        "result": rec.result,
-        "error": rec.error,
-    }
+def make_envelope(payload: Any) -> EventEnvelope:
+    return EventEnvelope(uuid.uuid4().hex, payload)
 
 
 class InvocationContext:
     """The complete set of things a handler is allowed to touch."""
 
-    __slots__ = ("_host", "function")
+    __slots__ = ("_host",)
 
-    def __init__(self, host: "FunctionHost", function: str):
+    def __init__(self, host: "FunctionHost"):
         self._host = host
-        self.function = function
 
     @property
     def analysis(self) -> hrv.AnalysisConfig:
@@ -129,7 +110,7 @@ class InvocationContext:
         return self._host.window
 
     def invoke(self, name: str, payload: Any) -> InvocationRecord:
-        return self._host.invoke(name, make_envelope(f"fn/{self.function}", payload))
+        return self._host.invoke(name, make_envelope(payload))
 
 
 class _Worker:
@@ -212,20 +193,18 @@ class FunctionHost:
         window: CappedCollection,
         analysis: Optional[hrv.AnalysisConfig] = None,
         sample_rate_hz: float = 100.0,
-        log_path=None,
     ):
         self.window = window
         self.analysis = analysis if analysis is not None else hrv.AnalysisConfig()
         self.sample_rate_hz = sample_rate_hz
         self.records: list[InvocationRecord] = []
-        self.observers: list[Callable[[InvocationRecord], None]] = []
         self._functions: dict[str, FunctionDescriptor] = {}
         self._lock = threading.Lock()
-        self._log = open(log_path, "a", encoding="utf-8") if log_path else None
-        self._log_lock = threading.Lock()
+        # Handlers hold no state, so every invocation can share one context.
+        self._ctx = InvocationContext(self)
         self._pool = _WorkerPool()
         # A host dropped without close() must not leave its idle workers
-        # parked for the rest of the process.
+        # parked; it sits in a cycle with its context, so gc retires them.
         weakref.finalize(self, self._pool.close)
 
     def register(self, descriptor: FunctionDescriptor) -> None:
@@ -243,12 +222,10 @@ class FunctionHost:
 
     def invoke(self, name: str, envelope: EventEnvelope) -> InvocationRecord:
         desc = self.descriptor(name)
-        ctx = InvocationContext(self, name)
+        ctx = self._ctx
         # The handler gets its own copy of the payload, so a mutating
         # handler cannot reach back into the caller's objects.
-        guarded = EventEnvelope(
-            envelope.event_id, envelope.source, envelope.ts_ms, copy.deepcopy(envelope.payload)
-        )
+        guarded = EventEnvelope(envelope.event_id, copy.deepcopy(envelope.payload))
         box: dict = {}
 
         def run():
@@ -276,19 +253,9 @@ class FunctionHost:
             )
         else:
             rec = InvocationRecord(envelope.event_id, name, "ok", duration_ms, box.get("value"), None)
-        self._append(rec)
-        return rec
-
-    def _append(self, rec: InvocationRecord) -> None:
         with self._lock:
             self.records.append(rec)
-        if self._log is not None:
-            with self._log_lock:
-                if self._log is not None:
-                    self._log.write(json.dumps(record_to_dict(rec), separators=(",", ":"), default=repr) + "\n")
-                    self._log.flush()
-        for observer in list(self.observers):
-            observer(rec)
+        return rec
 
     def invocation_count(self, name: str) -> int:
         with self._lock:
@@ -296,10 +263,6 @@ class FunctionHost:
 
     def close(self) -> None:
         self._pool.close()
-        with self._log_lock:
-            if self._log is not None:
-                self._log.close()
-                self._log = None
 
     def __enter__(self):
         return self
@@ -342,13 +305,14 @@ def fn_metrics_calc(ctx: InvocationContext, env: EventEnvelope):
 
 
 def fn_subscriber(ctx: InvocationContext, env: EventEnvelope):
-    """Store one sensor record; every decimation-th seq, run the numbers."""
+    """Store one sensor record; every decimation-th seq, return fresh numbers.
+
+    Only store_ops judges the record. Returns metrics_calc's result, or None.
+    """
     payload = env.payload
-    if not isinstance(payload, dict) or not isinstance(payload.get("record"), dict):
-        raise ValueError("subscriber payload must carry a sensor record object")
+    if not isinstance(payload, dict) or "record" not in payload:
+        raise ValueError("subscriber payload must carry a sensor record")
     record = payload["record"]
-    if "seq" not in record:
-        raise ValueError("sensor record has no seq")
     decimation = payload.get("decimation", 1)
     stored = ctx.invoke("store_ops", {"op": "insert", "body": record})
     if stored.outcome != "ok":
@@ -357,8 +321,8 @@ def fn_subscriber(ctx: InvocationContext, env: EventEnvelope):
     # would disagree on how many reports they wrote.
     if stored.result["inserted"] and record["seq"] % decimation == 0:
         # A window still too short to analyze is routine early on; that
-        # failure is already on the invocation log, nothing to add here.
-        ctx.invoke("metrics_calc", {})
+        # failure is already in the host's records, nothing to add here.
+        return ctx.invoke("metrics_calc", {}).result
 
 
 def register_builtins(host: FunctionHost) -> None:
@@ -371,24 +335,27 @@ def register_builtins(host: FunctionHost) -> None:
 
 
 class TriggerHandle:
-    """A live broker subscription feeding one function, one message at a time."""
+    """A live broker subscription feeding subscriber, one message at a time."""
 
-    def __init__(self, host, address, topic, function_name, decimation_n):
-        self.topic = topic
-        self.function = function_name
+    def __init__(self, host, address, topic, decimation_n, on_metrics):
         self.decimation_n = decimation_n
+        self.on_metrics = on_metrics
         self._host = host
         self.source = MqttSource(
             address, topic, self._invoke, self._invoke_undecoded, name="faas-trigger"
         )
 
     def _invoke(self, record):
-        env = make_envelope(f"mqtt/{self.topic}", {"record": record, "decimation": self.decimation_n})
-        self._host.invoke(self.function, env)
+        env = make_envelope({"record": record, "decimation": self.decimation_n})
+        self._report(self._host.invoke("subscriber", env).result)
+
+    def _report(self, metrics):
+        if metrics is not None and self.on_metrics is not None:
+            self.on_metrics(metrics)
 
     def _invoke_undecoded(self, payload: bytes, exc: Exception):
-        # Hand the raw text over anyway; subscriber rejects it and the
-        # rejection shows up as an error record.
+        # Hand the raw text over anyway; store_ops refuses it and the
+        # refusal shows up as error records.
         self._invoke(payload.decode("utf-8", "replace"))
 
     def drained(self, published: int) -> bool:
@@ -396,7 +363,7 @@ class TriggerHandle:
 
     def finalize(self):
         """One last analysis over the final window."""
-        self._host.invoke("metrics_calc", make_envelope("runner", {}))
+        self._report(self._host.invoke("metrics_calc", make_envelope({})).result)
 
     def counters(self) -> dict:
         return {
@@ -419,11 +386,12 @@ def bind_mqtt_trigger(
     host: FunctionHost,
     address,
     topic: str,
-    function_name: str = "subscriber",
     decimation_n: int = 100,
+    on_metrics: Optional[Callable[[dict], None]] = None,
 ) -> TriggerHandle:
-    host.descriptor(function_name)  # fail now, not on the pump thread
+    """Feed topic's records to subscriber; on_metrics gets each metrics dict."""
+    host.descriptor("subscriber")  # fail now, not on the pump thread
     if not _positive_int(decimation_n):
         raise ValueError("decimation_n must be a positive integer")
     # a broker that never answers raises BrokerUnreachable, as SensorIngestor does
-    return TriggerHandle(host, address, topic, function_name, decimation_n)
+    return TriggerHandle(host, address, topic, decimation_n, on_metrics)

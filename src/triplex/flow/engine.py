@@ -136,8 +136,7 @@ class FlowHandle:
         elif kind == "store-delete-all":
             self._fan_out(node.id, rt.window.delete_all())
         elif kind == "hrv-analyze":
-            rate = node.config.get("sample_rate_hz", rt.sample_rate_hz)
-            signal = hrv.signal_from_records(payload, rate)
+            signal = hrv.signal_from_records(payload, rt.sample_rate_hz)
             metrics = hrv.analyze(signal, rt.analysis)
             self._fan_out(node.id, metrics_to_dict(metrics))
         elif kind == "debug":

@@ -28,13 +28,8 @@ _CONFIG_SCHEMAS = {
     "store-insert": {},
     "store-get-all": {},
     "store-delete-all": {},
-    "hrv-analyze": {
-        "sample_rate_hz": (
-            False,
-            lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0,
-            "positive number",
-        ),
-    },
+    # analyzes at the run's sample rate, like the other pipelines
+    "hrv-analyze": {},
     "interval-inject": {
         "period_ms": (
             False,

@@ -52,20 +52,14 @@ def format_line(record: dict) -> str:
 
 
 class ReportWriter:
-    """Append-mode report sink; also keeps the records for inspection."""
+    """Append-mode report sink: one flushed line per record."""
 
-    def __init__(self, path=None):
-        self.path = path
-        self.records = []
-        self._fh = open(path, "a", encoding="utf-8") if path else None
+    def __init__(self, path):
+        self._fh = open(path, "a", encoding="utf-8")
 
     def __call__(self, record: dict):
-        self.records.append(record)
-        if self._fh is not None:
-            self._fh.write(format_line(record) + "\n")
-            self._fh.flush()
+        self._fh.write(format_line(record) + "\n")
+        self._fh.flush()
 
     def close(self):
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._fh.close()

@@ -152,15 +152,15 @@ def _flow(cfg: RunConfig, address, window: CappedCollection, emit):
 @contextmanager
 def _faas(cfg: RunConfig, address, window: CappedCollection, emit):
     analysis = cfg.analysis()
-
-    def observe(rec):
-        if rec.function == "metrics_calc" and rec.outcome == "ok":
-            emit(make_report(rec.result, "faas", analysis))
-
     with FunctionHost(window, analysis=analysis, sample_rate_hz=cfg.rate) as host:
         register_builtins(host)
-        host.observers.append(observe)
-        with bind_mqtt_trigger(host, address, cfg.topic, decimation_n=cfg.decimation) as trigger:
+        with bind_mqtt_trigger(
+            host,
+            address,
+            cfg.topic,
+            cfg.decimation,
+            on_metrics=lambda m: emit(make_report(m, "faas", analysis)),
+        ) as trigger:
             yield trigger
 
 

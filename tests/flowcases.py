@@ -63,6 +63,7 @@ def malformed_flows():
         ("insert unknown key", _flow([_node("s", "store-insert", {"capped": True})], [])),
         ("analyze bad rate", _flow([_node("a", "hrv-analyze", {"sample_rate_hz": 0})], [])),
         ("analyze rate string", _flow([_node("a", "hrv-analyze", {"sample_rate_hz": "hi"})], [])),
+        ("analyze any rate", _flow([_node("a", "hrv-analyze", {"sample_rate_hz": 100})], [])),
         ("debug label number", _flow([_node("d", "debug", {"label": 4})], [])),
         ("report extra key", _flow([_node("r", "report", {"path": "x"})], [])),
         ("manual-inject extra key", _flow([_node("m", "manual-inject", {"payload": 1})], [])),

@@ -294,12 +294,12 @@ class TestAcceptance:
         host.register(FunctionDescriptor("sleepy", sleepy, timeout_ms=200))
         host.register(FunctionDescriptor("echo", lambda ctx, env: env.payload))
 
-        rec = host.invoke("sleepy", make_envelope("acc", {}))
+        rec = host.invoke("sleepy", make_envelope({}))
         if rec.outcome != "timeout":
             failures.append(f"outcome {rec.outcome}, wanted timeout")
         if rec.result is not None:
             failures.append("timed-out result was not discarded")
-        after = host.invoke("echo", make_envelope("acc", {"still": "alive"}))
+        after = host.invoke("echo", make_envelope({"still": "alive"}))
         if after.outcome != "ok" or after.result != {"still": "alive"}:
             failures.append("host not serviceable after a timeout")
 

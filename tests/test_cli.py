@@ -3,12 +3,14 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from triplex import cli
 from triplex.cli import main
+from triplex.config import RunConfig
 from triplex.mqtt import BrokerConfig, broker_start
 from triplex.report import METRIC_FIELDS
 from triplex.runner import RunResult
@@ -39,6 +41,13 @@ class TestParsing:
         with pytest.raises(SystemExit) as info:
             main(["analyze", "x.txt", "--frobnicate"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("command", ["analyze", "broker", "emulate", "run", "compare"])
+    def test_every_config_field_has_a_flag(self, command):
+        argv = [command, "x.txt"] if command == "analyze" else [command]
+        args = cli.build_parser().parse_args(argv)
+        missing = [f.name for f in fields(RunConfig) if not hasattr(args, f.name)]
+        assert missing == []
 
     def test_mode_choices_enforced(self):
         with pytest.raises(SystemExit) as info:

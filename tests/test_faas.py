@@ -56,7 +56,7 @@ def records_from(samples, rate=100.0):
 
 
 def send(host, name, payload):
-    return host.invoke(name, make_envelope("test", payload))
+    return host.invoke(name, make_envelope(payload))
 
 
 def insert_records(host):
@@ -251,7 +251,7 @@ class TestWorkerPool:
         host = fresh_host()
         start = threading.active_count()
         for rec in records_from(sine_wave(1.0, 100, 5.0)):
-            host.invoke("subscriber", make_envelope("test", {"record": rec, "decimation": 100}))
+            host.invoke("subscriber", make_envelope({"record": rec, "decimation": 100}))
         # subscriber -> metrics_calc -> store_ops is the deepest chain
         assert threading.active_count() - start <= 3
         # 500 subscriber + 500 inserts + 5 x (metrics_calc + get_all)
@@ -345,37 +345,6 @@ class TestWorkerPool:
             assert time.monotonic() < deadline
         assert len(new_workers(before)) == 2
         host.close()
-
-
-class TestLogFile:
-    def test_one_json_record_per_line(self, tmp_path):
-        log = tmp_path / "invocations.log"
-        host = FunctionHost(CappedCollection(10), log_path=log)
-        host.register(FunctionDescriptor("echo", echo))
-
-        def boom(ctx, env):
-            raise ValueError("nope")
-
-        def slow(ctx, env):
-            time.sleep(0.3)
-
-        host.register(FunctionDescriptor("boom", boom))
-        host.register(FunctionDescriptor("slow", slow, timeout_ms=100))
-        send(host, "echo", {"x": 1})
-        send(host, "boom", {})
-        send(host, "slow", {})
-        host.close()
-
-        lines = log.read_text().splitlines()
-        assert len(lines) == 3
-        parsed = [json.loads(line) for line in lines]
-        for entry in parsed:
-            assert set(entry) == {
-                "event_id", "function", "outcome", "duration_ms", "result", "error",
-            }
-        assert [e["outcome"] for e in parsed] == ["ok", "error", "timeout"]
-        assert parsed[0]["result"] == {"x": 1}
-        assert "ValueError" in parsed[1]["error"]
 
 
 class TestStoreOps:
@@ -492,18 +461,34 @@ class TestSubscriber:
         assert rec.outcome == "error"
         assert host.window.count() == 0
 
-    def test_record_without_seq_is_an_error(self):
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"t_ms": 0, "value": 1.0},
+            {"seq": 1, "t_ms": 0, "value": None},
+            {"seq": 1, "t_ms": 0, "value": float("nan")},
+            {"seq": 1, "value": 1.0},
+        ],
+        ids=["no-seq", "null-value", "nan-value", "no-t_ms"],
+    )
+    def test_record_without_seq_is_an_error(self, record):
+        # store_ops alone decides what is a record; subscriber only passes
+        # its refusal on
         host = fresh_host()
-        rec = send(host, "subscriber", {"record": {"t_ms": 0, "value": 1.0}, "decimation": 1})
+        rec = send(host, "subscriber", {"record": record, "decimation": 1})
         assert rec.outcome == "error"
-        assert "seq" in rec.error
+        assert [(r.function, r.outcome) for r in host.records] == [
+            ("store_ops", "error"),
+            ("subscriber", "error"),
+        ]
+        assert host.window.count() == 0
 
 
 class TestStatelessness:
     def test_replay_gives_identical_store_and_metrics(self):
         samples = sine_wave(1.0, 100, 12.0)
         envelopes = [
-            EventEnvelope(f"evt-{i}", "replay", i, {"record": rec, "decimation": 400})
+            EventEnvelope(f"evt-{i}", {"record": rec, "decimation": 400})
             for i, rec in enumerate(records_from(samples))
         ]
 
@@ -553,6 +538,28 @@ class TestMqttTrigger:
                 while trig.source.delivered < 10 and time.monotonic() < deadline:
                     time.sleep(0.02)
         assert host.invocation_count("metrics_calc") == 10
+
+    def test_on_metrics_gets_every_analysis_and_the_final_one(self):
+        host = fresh_host()
+        reported = []
+        records = records_from(sine_wave(1.0, 100, 12.0))
+        with broker_start(BrokerConfig()) as broker:
+            with bind_mqtt_trigger(
+                host, broker.address, "hr/p1", decimation_n=200, on_metrics=reported.append
+            ) as trig:
+                with client_connect(broker.address, "sensor") as pub:
+                    for rec in records:
+                        pub.publish("hr/p1", json.dumps(rec).encode(), qos=1)
+                deadline = time.monotonic() + 10.0
+                while trig.source.delivered < len(records) and time.monotonic() < deadline:
+                    time.sleep(0.02)
+                trig.finalize()
+        analyses = [r for r in host.records if r.function == "metrics_calc"]
+        ok = [r.result for r in analyses if r.outcome == "ok"]
+        # the first window (200 records, 2 s) is too short to analyze
+        assert len(analyses) == len(records) // 200 + 1 > len(ok)
+        assert reported == ok
+        assert reported[-1]["bpm"] == pytest.approx(60.0, abs=1.0)
 
     def test_malformed_payload_fails_one_subscriber_call(self):
         host = fresh_host()
@@ -622,10 +629,10 @@ class TestMqttTrigger:
         assert time.monotonic() - started >= 0.7 - 0.02
 
     def test_trigger_needs_registered_function(self):
-        host = fresh_host()
+        host = FunctionHost(CappedCollection(10))
         with broker_start(BrokerConfig()) as broker:
-            with pytest.raises(NoSuchFunction):
-                bind_mqtt_trigger(host, broker.address, "hr/p1", function_name="ghost")
+            with pytest.raises(NoSuchFunction, match="'subscriber'"):
+                bind_mqtt_trigger(host, broker.address, "hr/p1")
 
     def test_bad_decimation_rejected(self):
         host = fresh_host()

@@ -1,5 +1,7 @@
 import json
+import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,8 @@ from triplex.store import CappedCollection
 
 from polling import all_exit_within, stop_seconds_mid_poll
 from waveforms import sine_wave
+
+DATA_FILE = str(Path(__file__).parent.parent / "data" / "sample_hr.txt")
 
 
 def records_from(samples, rate=100.0):
@@ -245,6 +249,18 @@ class TestRunPipeline:
         streamed = []
         result = run_pipeline("monolith", cfg, on_report=streamed.append)
         assert streamed == result.reports
+
+
+class TestThreadsEndWithTheRun:
+    def test_every_mode_leaves_no_thread_behind(self):
+        cfg = RunConfig(data=DATA_FILE, speedup=0.0)
+        start = threading.active_count()
+        for mode in ("monolith", "flow", "faas") * 2:
+            assert run_pipeline(mode, cfg).counts["drained"] is True
+        deadline = time.monotonic() + 3.0
+        while threading.active_count() > start and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert threading.active_count() <= start, threading.enumerate()
 
 
 class TestCompareModes:
