@@ -197,7 +197,9 @@ class FunctionHost:
         self.window = window
         self.analysis = analysis if analysis is not None else hrv.AnalysisConfig()
         self.sample_rate_hz = sample_rate_hz
+        # only invocations that did not return ok; the rest are counted
         self.records: list[InvocationRecord] = []
+        self._calls: dict[str, int] = {}
         self._functions: dict[str, FunctionDescriptor] = {}
         self._lock = threading.Lock()
         # Handlers hold no state, so every invocation can share one context.
@@ -254,12 +256,14 @@ class FunctionHost:
         else:
             rec = InvocationRecord(envelope.event_id, name, "ok", duration_ms, box.get("value"), None)
         with self._lock:
-            self.records.append(rec)
+            self._calls[name] = self._calls.get(name, 0) + 1
+            if rec.outcome != "ok":
+                self.records.append(rec)
         return rec
 
     def invocation_count(self, name: str) -> int:
         with self._lock:
-            return sum(1 for r in self.records if r.function == name)
+            return self._calls.get(name, 0)
 
     def close(self) -> None:
         self._pool.close()
@@ -279,11 +283,8 @@ def fn_store_ops(ctx: InvocationContext, env: EventEnvelope):
     op = payload.get("op")
     coll = ctx.window()
     if op == "insert":
-        body = payload.get("body")
-        if body is None:
-            raise ValueError("insert needs a body")
         # qos-1 redeliveries die here, same rule as every other pipeline
-        return {"inserted": coll.insert_unique(body)}
+        return {"inserted": coll.insert_unique(payload.get("body"))}
     if op == "get_all":
         return {"documents": [doc.body for doc in coll.get_all()]}
     if op == "delete_all":
@@ -325,12 +326,15 @@ def fn_subscriber(ctx: InvocationContext, env: EventEnvelope):
         return ctx.invoke("metrics_calc", {}).result
 
 
+_BUILTINS = (
+    ("store_ops", fn_store_ops),
+    ("metrics_calc", fn_metrics_calc),
+    ("subscriber", fn_subscriber),
+)
+
+
 def register_builtins(host: FunctionHost) -> None:
-    for name, handler in (
-        ("store_ops", fn_store_ops),
-        ("metrics_calc", fn_metrics_calc),
-        ("subscriber", fn_subscriber),
-    ):
+    for name, handler in _BUILTINS:
         host.register(FunctionDescriptor(name, handler))
 
 
@@ -368,7 +372,7 @@ class TriggerHandle:
     def counters(self) -> dict:
         return {
             "delivered": self.source.delivered,
-            "invocations": len(self._host.records),
+            "invocations": sum(self._host.invocation_count(name) for name, _ in _BUILTINS),
             "metrics_calls": self._host.invocation_count("metrics_calc"),
         }
 

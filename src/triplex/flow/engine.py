@@ -45,7 +45,7 @@ class FlowHandle:
         self.runtime = runtime
         self.errors: list = []
         self.debug: list = []
-        self.sources: list = []  # one MqttSource per mqtt-in node that came up
+        self.sources: list = []  # one MqttSource per mqtt-in node
         self._queue: queue.Queue = queue.Queue()
         self._stop_timers = threading.Event()
         self._stopped = False
@@ -72,14 +72,6 @@ class FlowHandle:
             raise ValueError(f"node {node_id!r} is {node.type!r}, not manual-inject")
         self._fan_out(node_id, payload)
 
-    def wait_sources(self) -> bool:
-        """True when every mqtt-in source has its subscription up.
-
-        Sources subscribe before the constructor returns, so this never
-        blocks; a source that could not connect has its error in errors.
-        """
-        return len(self.sources) == sum(1 for n in self.graph.nodes if n.type == "mqtt-in")
-
     def _interval_loop(self, node):
         period_s = node.config.get("period_ms", 1000) / 1000.0
         tick = 0
@@ -88,6 +80,7 @@ class FlowHandle:
             tick += 1
 
     def _start_source(self, node):
+        # a source that cannot subscribe stops the flow and raises, as in the other modes
         try:
             if self.runtime.broker_address is None:
                 raise MqttError("the flow runtime has no broker address")
@@ -98,10 +91,10 @@ class FlowHandle:
                 lambda payload, exc: self._fail(node.id, exc),
                 name=f"flow-{node.id}",
             )
-        except MqttError as exc:
-            self._fail(node.id, exc)
-        else:
-            self.sources.append(source)
+        except MqttError:
+            self.stop()
+            raise
+        self.sources.append(source)
 
     # -- message pump -----------------------------------------------------
 

@@ -7,8 +7,9 @@ delivery order. A handler handles every complete packet it has read before
 it writes anything: at the end of each read burst it gives every session it
 wrote to one sendall, in the order it first wrote to them, so a pipelined
 burst costs one syscall per peer rather than one per packet, and a lone
-packet still goes out as soon as it has been handled. A sweeper thread
-expires silent sessions; time comes from an injectable clock so expiry is
+packet still goes out as soon as it has been handled. Each handler also
+expires its own session once the client has been silent too long, checked
+before every read; time comes from an injectable clock so expiry is
 testable without sleeping.
 """
 
@@ -42,7 +43,6 @@ from .topics import topic_matches
 # MQTT 3.1.1 section 3.1.2.10: a server drops a client it has not heard
 # from within one and a half keep-alive periods.
 _KEEP_ALIVE_GRACE = 1.5
-_SWEEP_INTERVAL_S = 0.05  # how often the sweeper looks for silent sessions
 
 
 @dataclass
@@ -116,10 +116,6 @@ class Broker:
             target=self._accept_loop, name="mqtt-broker-accept", daemon=True
         )
         self._accept_thread.start()
-        self._sweeper = threading.Thread(
-            target=self._sweep_loop, name="mqtt-broker-sweeper", daemon=True
-        )
-        self._sweeper.start()
 
     def _bump(self, key, n=1):
         with self._stats_lock:
@@ -207,6 +203,8 @@ class Broker:
 
     def _run_session(self, session, buf):
         conn = session.conn
+        # a client silent for longer than this is dropped; 0 never expires
+        silence_s = session.keep_alive_s * _KEEP_ALIVE_GRACE
         # sessions written to since the last flush, in first-write order
         touched = {}
         try:
@@ -215,6 +213,12 @@ class Broker:
                 if out is NeedMoreBytes:
                     # no complete packet left: send the burst's writes
                     self._flush(touched)
+                    # checked before every read, so a client that trickles
+                    # partial packets expires too
+                    if silence_s and self.cfg.clock() - session.last_activity > silence_s:
+                        self._bump("sessions_expired")
+                        self._drop(session)
+                        return
                     try:
                         chunk = conn.recv(_RECV_BYTES)
                     except socket.timeout:
@@ -329,21 +333,7 @@ class Broker:
                 self._drop(session)
         touched.clear()
 
-    # -- expiry and shutdown ---------------------------------------------
-
-    def _sweep_loop(self):
-        while not self._stopping.wait(_SWEEP_INTERVAL_S):
-            now = self.cfg.clock()
-            with self._registry_lock:
-                victims = [
-                    s
-                    for s in self._sessions.values()
-                    if s.keep_alive_s > 0
-                    and now - s.last_activity > s.keep_alive_s * _KEEP_ALIVE_GRACE
-                ]
-            for session in victims:
-                self._bump("sessions_expired")
-                self._drop(session)
+    # -- shutdown --------------------------------------------------------
 
     def _drop(self, session):
         session.closed = True
@@ -384,7 +374,6 @@ class Broker:
         for session in sessions:
             self._drop(session)
         self._accept_thread.join(timeout=2.0)
-        self._sweeper.join(timeout=2.0)
         for t in self._threads:
             t.join(timeout=2.0)
 

@@ -1,13 +1,14 @@
 """Threaded MQTT client: windowed qos-1 publish with retransmission, polled inbox.
 
-The reader thread handles every complete packet in what one read returned
-before it writes: the PUBACKs for a burst of inbound qos-1 publishes go out
-in one sendall, and the publishes reach the inbox with one wake-up.
+One reader thread per session. It handles every complete packet in what
+one read returned before it writes: the PUBACKs for a burst of inbound
+qos-1 publishes go out in one sendall, and the publishes reach the inbox
+with one wake-up. Between reads it resends overdue publishes and sends the
+keep-alive pings; its read timeout is short enough that it wakes for them.
 """
 
 from __future__ import annotations
 
-import math
 import socket
 import threading
 import time
@@ -71,9 +72,9 @@ class ClientSession:
     may be driven from several threads even though one at a time is typical.
 
     Qos-1 publishes are pipelined: up to _MAX_IN_FLIGHT of them may wait
-    for their PUBACK at once. A housekeeping thread resends each one with
-    the dup flag when its ack is ack_timeout_s late, and sends the
-    keep-alive pings.
+    for their PUBACK at once. Between reads the reader resends each one
+    with the dup flag when its ack is ack_timeout_s late, and sends the
+    keep-alive pings; either may go out up to one read timeout late.
     """
 
     def __init__(
@@ -85,6 +86,8 @@ class ClientSession:
         ack_attempts: int = 3,
         auto_ping: bool = True,
     ):
+        if not ack_timeout_s > 0:
+            raise ValueError("ack_timeout_s must be positive")
         self.client_id = client_id
         self.keep_alive_s = keep_alive_s
         self.ack_timeout_s = ack_timeout_s
@@ -110,17 +113,15 @@ class ClientSession:
         self._ping_interval = None
         if auto_ping and keep_alive_s > 0:
             self._ping_interval = max(keep_alive_s * 0.5, 0.1)
-        self._housekeeper = None
+            self._next_ping = time.monotonic() + self._ping_interval
 
         self._handshake()
-        self._sock.settimeout(0.2)
+        # an idle reader wakes in time to resend a publish whose ack is late
+        self._sock.settimeout(min(0.2, ack_timeout_s))
         self._reader = threading.Thread(
             target=self._read_loop, name=f"mqtt-client-{client_id}", daemon=True
         )
         self._reader.start()
-        if self._ping_interval is not None:
-            with self._state_lock:
-                self._start_housekeeper()
 
     def _handshake(self):
         self._sock.sendall(encode_packet(Connect(self.client_id, self.keep_alive_s)))
@@ -150,6 +151,7 @@ class ClientSession:
         try:
             while not self._closed.is_set():
                 self._handle_burst(buf)
+                self._housekeep()
                 try:
                     chunk = self._sock.recv(_RECV_BYTES)
                 except socket.timeout:
@@ -162,7 +164,7 @@ class ClientSession:
         except ProtocolError as exc:
             reason = f"protocol error: {exc}"
         except SessionClosed:
-            pass  # closed while acking an inbound publish
+            pass  # closed while acking, resending or pinging
         finally:
             self._shutdown(reason)
 
@@ -216,42 +218,17 @@ class ClientSession:
 
     # -- housekeeping -------------------------------------------------
 
-    def _start_housekeeper(self):
-        """Start the housekeeping thread once; call with the state lock held."""
-        if self._housekeeper is None:
-            self._housekeeper = threading.Thread(
-                target=self._housekeeping_loop,
-                name=f"mqtt-housekeeping-{self.client_id}",
-                daemon=True,
-            )
-            self._housekeeper.start()
+    def _housekeep(self):
+        """Resend every publish whose ack is overdue, and ping when one is due."""
+        now = time.monotonic()
+        for pid, entry in self._expire(now):
+            self._send(Publish(entry.topic, entry.payload, qos=1, packet_id=pid, dup=True))
+        if self._ping_interval is not None and now >= self._next_ping:
+            self._send(PingReq())
+            self._next_ping = now + self._ping_interval
 
-    def _housekeeping_loop(self):
-        # Sleeps until the oldest in-flight deadline, or for ack_timeout_s
-        # when nothing is in flight, so publish never has to wake it: a
-        # message published during that sleep is not due before it ends.
-        next_ping = time.monotonic() + self._ping_interval if self._ping_interval else math.inf
-        try:
-            while True:
-                now = time.monotonic()
-                resend, wake = self._expire(now)
-                for pid, entry in resend:
-                    self._send(
-                        Publish(entry.topic, entry.payload, qos=1, packet_id=pid, dup=True)
-                    )
-                if now >= next_ping:
-                    self._send(PingReq())
-                    next_ping = now + self._ping_interval
-                if self._closed.wait(max(0.0, min(wake, next_ping) - time.monotonic())):
-                    return
-        except SessionClosed:
-            return
-
-    def _expire(self, now) -> tuple:
-        """Handle every publish whose ack is overdue.
-
-        Returns the (pid, entry) pairs to resend, and when to look again.
-        """
+    def _expire(self, now) -> list:
+        """Handle every publish whose ack is overdue; returns the (pid, entry) pairs to resend."""
         resend = []
         with self._acked:
             while self._inflight:
@@ -267,8 +244,7 @@ class ClientSession:
                 entry.deadline = now + self.ack_timeout_s
                 self._inflight[pid] = entry
                 resend.append((pid, entry))
-            oldest = next(iter(self._inflight.values()), None)
-        return resend, (oldest.deadline if oldest is not None else now + self.ack_timeout_s)
+        return resend
 
     def _check_delivered(self):
         """Raise DeliveryError once for messages given up on; call with the state lock held."""
@@ -329,7 +305,6 @@ class ClientSession:
                 raise SessionClosed(self._close_reason)
             pid = self._free_pid()
             self._inflight[pid] = _InFlight(topic, payload, time.monotonic() + self.ack_timeout_s)
-            self._start_housekeeper()
         try:
             self._send(Publish(topic=topic, payload=payload, qos=1, packet_id=pid))
         except EncodeError:
@@ -439,9 +414,8 @@ class ClientSession:
             except SessionClosed:
                 pass
         self._shutdown("session closed")
-        for thread in (self._reader, self._housekeeper):
-            if thread is not None and thread is not threading.current_thread():
-                thread.join(timeout=2.0)
+        if self._reader is not threading.current_thread():
+            self._reader.join(timeout=2.0)
 
     def __enter__(self):
         return self

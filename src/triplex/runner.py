@@ -144,8 +144,6 @@ def _flow(cfg: RunConfig, address, window: CappedCollection, emit):
         report=emit,
     )
     with run_flow(graph, runtime) as handle:
-        if not handle.wait_sources():
-            raise RuntimeError(f"flow sources failed to come up: {handle.errors}")
         yield handle
 
 

@@ -509,3 +509,20 @@ class TestSessionLifecycle:
 
         with pytest.raises(StartupError):
             broker_start(BrokerConfig(port=broker.address[1]))
+
+
+class TestThreadsPerConnection:
+    def test_one_thread_per_connection_end(self):
+        before = set(threading.enumerate())
+        with broker_start(BrokerConfig()) as broker:
+            with client_connect(broker.address, "pub", keep_alive_s=30) as pub:
+                pub.publish("t", b"x", qos=1)
+                pub.flush()
+                started = set(threading.enumerate()) - before
+                # the broker's accept loop and session handler, the client's reader
+                assert len(started) == 3, sorted(t.name for t in started)
+
+    @pytest.mark.parametrize("ack_timeout_s", [0, -1.0])
+    def test_ack_timeout_must_be_positive(self, broker, ack_timeout_s):
+        with pytest.raises(ValueError, match="ack_timeout_s"):
+            client_connect(broker.address, "pub", ack_timeout_s=ack_timeout_s)

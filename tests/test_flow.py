@@ -2,13 +2,15 @@ import json
 import random
 import socket
 import string
+import threading
 import time
 from pathlib import Path
 
 import pytest
 
 from triplex.flow import FlowRuntime, ParseError, load_flow, parse_flow, run_flow
-from triplex.mqtt import BrokerConfig, broker_start, client_connect
+from triplex.mqtt import BrokerConfig, MqttError, broker_start, client_connect
+from triplex.source import BrokerUnreachable
 from triplex.store import CappedCollection
 
 from flowcases import malformed_flows
@@ -326,7 +328,6 @@ class TestEngineWithBroker:
         with broker_start(BrokerConfig()) as broker:
             rt, _ = make_runtime(broker_address=broker.address)
             handle = run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt)
-            assert handle.wait_sources()
             took = stop_seconds_mid_poll(handle.sources[0].session, handle.stop)
         assert not any(s.thread.is_alive() for s in handle.sources)
         assert took < 0.05  # the source polls with a 0.1 s timeout
@@ -336,28 +337,27 @@ class TestEngineWithBroker:
         rt, _ = make_runtime(broker_address=broker.address)
         handle = run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt)
         try:
-            assert handle.wait_sources()
             broker.stop()
             assert all_exit_within([s.thread for s in handle.sources], 1.0)
         finally:
             handle.stop()
 
-    def test_unreachable_broker_fails_wait_sources(self):
+    def test_unreachable_broker_raises_at_construction(self):
         probe = socket.socket()
         probe.bind(("127.0.0.1", 0))
         dead_address = probe.getsockname()
         probe.close()
         rt, _ = make_runtime(broker_address=dead_address)
-        with run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt) as handle:
-            assert not handle.wait_sources()
-        assert [node_id for node_id, _ in handle.errors] == ["sensor-in"]
-        assert "unreachable" in handle.errors[0][1]
+        start = threading.active_count()
+        with pytest.raises(BrokerUnreachable, match="unreachable"):
+            run_flow(load_flow(FLOWS_DIR / "health_monitor.json"), rt)
+        # the worker that started before the source failed is gone again
+        assert threading.active_count() == start
 
-    def test_missing_broker_address_fails_wait_sources(self):
+    def test_missing_broker_address_raises_at_construction(self):
         rt, _ = make_runtime()
-        with run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt) as handle:
-            assert not handle.wait_sources()
-        assert handle.errors == [("sensor-in", "MqttError: the flow runtime has no broker address")]
+        with pytest.raises(MqttError, match="the flow runtime has no broker address"):
+            run_flow(load_flow(FLOWS_DIR / "ingest_window.json"), rt)
 
     def test_bad_sensor_payload_goes_to_error_sink(self):
         with broker_start(BrokerConfig()) as broker:
