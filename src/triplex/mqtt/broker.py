@@ -7,15 +7,18 @@ delivery order. A handler handles every complete packet it has read before
 it writes anything: at the end of each read burst it gives every session it
 wrote to one sendall, in the order it first wrote to them, so a pipelined
 burst costs one syscall per peer rather than one per packet, and a lone
-packet still goes out as soon as it has been handled. Each handler also
-expires its own session once the client has been silent too long, checked
-before every read; time comes from an injectable clock so expiry is
-testable without sleeping.
+packet still goes out as soon as it has been handled. A write to a
+subscriber that has not drained its socket blocks the handler that writes,
+so a slow subscriber holds its publishers back rather than losing messages.
+Each handler also expires its own session once the client has been silent
+too long, checked before every read; time comes from an injectable clock so
+expiry is testable without sleeping.
 """
 
 from __future__ import annotations
 
 import random
+import select
 import socket
 import threading
 import time
@@ -43,6 +46,10 @@ from .topics import topic_matches
 # MQTT 3.1.1 section 3.1.2.10: a server drops a client it has not heard
 # from within one and a half keep-alive periods.
 _KEEP_ALIVE_GRACE = 1.5
+# longest one read waits, so a handler sees a stop or an expired session
+_READ_WAIT_S = 0.2
+# a peer that does not take one write within this long is dropped
+_WRITE_TIMEOUT_S = 10.0
 
 
 @dataclass
@@ -64,18 +71,6 @@ class BrokerConfig:
 
 
 class _Session:
-    __slots__ = (
-        "conn",
-        "client_id",
-        "keep_alive_s",
-        "subscriptions",
-        "write_lock",
-        "outbox",
-        "last_activity",
-        "next_pid",
-        "closed",
-    )
-
     def __init__(self, conn, client_id, keep_alive_s, now):
         self.conn = conn
         self.client_id = client_id
@@ -139,16 +134,19 @@ class Broker:
             self._threads.append(t)
 
     def _serve(self, conn):
-        conn.settimeout(0.2)
+        # reads wait through poll; the socket timeout bounds only writes
+        conn.settimeout(_WRITE_TIMEOUT_S)
+        poller = select.poll()
+        poller.register(conn, select.POLLIN)
         # PUBACKs and forwarded publishes go out back to back; Nagle's
         # algorithm would hold each behind the client's delayed ack (40 ms)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         session = None
         try:
-            session, buf = self._handshake(conn)
+            session, buf = self._handshake(conn, poller)
             if session is None:
                 return
-            self._run_session(session, buf)
+            self._run_session(session, poller, buf)
         except (ProtocolError, OSError):
             pass
         finally:
@@ -159,7 +157,14 @@ class Broker:
             except OSError:
                 pass
 
-    def _recv_packet(self, conn, buf, deadline_s=10.0):
+    @staticmethod
+    def _recv(conn, poller):
+        """One recv once conn is readable; None if it was not within _READ_WAIT_S."""
+        if not poller.poll(_READ_WAIT_S * 1000.0):
+            return None
+        return conn.recv(_RECV_BYTES)
+
+    def _recv_packet(self, conn, poller, buf, deadline_s=10.0):
         """Read one complete packet off the front of buf (a bytearray).
 
         Returns the packet, or None on EOF, stop or deadline; what follows
@@ -174,17 +179,16 @@ class Broker:
                 return packet
             if self._stopping.is_set() or time.monotonic() > deadline:
                 return None
-            try:
-                chunk = conn.recv(_RECV_BYTES)
-            except socket.timeout:
+            chunk = self._recv(conn, poller)
+            if chunk is None:
                 continue
             if not chunk:
                 return None
             buf += chunk
 
-    def _handshake(self, conn):
+    def _handshake(self, conn, poller):
         buf = bytearray()
-        packet = self._recv_packet(conn, buf)
+        packet = self._recv_packet(conn, poller, buf)
         if not isinstance(packet, Connect):
             return None, b""
         with self._registry_lock:
@@ -201,7 +205,7 @@ class Broker:
         self._bump("sessions_opened")
         return session, buf
 
-    def _run_session(self, session, buf):
+    def _run_session(self, session, poller, buf):
         conn = session.conn
         # a client silent for longer than this is dropped; 0 never expires
         silence_s = session.keep_alive_s * _KEEP_ALIVE_GRACE
@@ -219,9 +223,8 @@ class Broker:
                         self._bump("sessions_expired")
                         self._drop(session)
                         return
-                    try:
-                        chunk = conn.recv(_RECV_BYTES)
-                    except socket.timeout:
+                    chunk = self._recv(conn, poller)
+                    if chunk is None:
                         continue
                     if not chunk:
                         return
@@ -318,7 +321,8 @@ class Broker:
         """One sendall per touched session, in first-write order.
 
         Another handler may have flushed a session's outbox already, which
-        leaves it empty here. A session whose write fails is dropped.
+        leaves it empty here. A write waits for the peer to take it, up to
+        _WRITE_TIMEOUT_S; a session whose write fails or times out is dropped.
         """
         for session in touched:
             failed = False

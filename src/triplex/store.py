@@ -42,6 +42,9 @@ class CappedCollection:
         self.threshold = threshold
         self._docs = deque(maxlen=threshold)  # eviction built into append
         self._next_seq = 1
+        # highest record seq insert_unique has admitted; delete_all and a
+        # plain insert leave it alone, so a stale redelivery stays refused
+        self._top_record_seq = -math.inf
         self._lock = threading.RLock()
 
     def insert(self, body) -> int:
@@ -56,12 +59,12 @@ class CappedCollection:
 
         Only a dict whose seq is an int and whose t_ms and value are finite
         numbers is a record; anything else raises ValueError and stores
-        nothing. So the newest document always has a seq to compare with,
-        and every window the analysis reads is one it can convert. Records
-        arrive in seq order on one connection, so comparing against the
-        newest retained record catches qos-1 redeliveries. The check and the insert are one step under the lock,
-        so concurrent writers cannot both store one seq. Every pipeline uses
-        this same rule, which is what keeps them comparable.
+        nothing, so every window the analysis reads is one it can convert.
+        Records arrive in seq order on one connection, so comparing against
+        the highest seq admitted so far catches qos-1 redeliveries, even
+        after delete_all. The check and the insert are one step under the
+        lock, so concurrent writers cannot both store one seq. Every
+        pipeline uses this same rule, which is what keeps them comparable.
         """
         seq = record.get("seq") if isinstance(record, dict) else None
         if not (
@@ -74,8 +77,9 @@ class CappedCollection:
                 f" got {record!r:.80}"
             )
         with self._lock:
-            if self._docs and seq <= self._docs[-1].body["seq"]:
+            if seq <= self._top_record_seq:
                 return False
+            self._top_record_seq = seq
             self.insert(record)  # the lock is reentrant; insert stays the one write path
             return True
 

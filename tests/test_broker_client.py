@@ -7,10 +7,15 @@ import pytest
 
 from triplex.mqtt import (
     BrokerConfig,
+    ConnAck,
     DeliveryError,
     MqttError,
+    PingResp,
+    ProtocolError,
+    PubAck,
     Publish,
     SessionClosed,
+    SubAck,
     broker_start,
     client_connect,
     encode_packet,
@@ -222,7 +227,8 @@ class TestFaultInjection:
                 sub.subscribe("t", qos=1)
                 for i in range(50):
                     pub.publish("t", str(i).encode(), qos=1)
-                time.sleep(0.3)
+                # the resends go out while the publisher is driven
+                pub.flush()
                 msgs = drain(sub, 50)
                 got = [int(m.payload) for m in msgs]
                 # every message at least once, duplicates allowed and flagged
@@ -303,12 +309,61 @@ class TestInFlightWindow:
                 pub.publish("t", str(i).encode(), qos=1)
         finally:
             broker.stop()
-        deadline = time.monotonic() + 5.0
-        while not pub.closed and time.monotonic() < deadline:
-            time.sleep(0.02)
-        assert pub.closed
+        # close() reads the EOF
         with pytest.raises(SessionClosed, match="3 messages in flight"):
             pub.close()
+
+
+class TestBacklogWaitsInTheSocket:
+    def test_unpolled_messages_are_read_by_poll_in_order(self, broker):
+        payloads = [b"%0100d" % i for i in range(2000)]
+        with client_connect(broker.address, "sub") as sub, client_connect(
+            broker.address, "pub"
+        ) as pub:
+            sub.subscribe("t", qos=1)
+            for payload in payloads:
+                pub.publish("t", payload, qos=1)
+            pub.flush()
+            # nothing reads the subscriber's socket until it polls
+            assert not sub._inbox
+            first = sub.poll()
+            assert len(first) < 2000  # one read takes at most 64 KiB
+            got = first + drain(sub, 2000 - len(first))
+        assert [m.payload for m in got] == payloads
+
+    def test_a_backlog_past_the_socket_buffers_holds_the_publisher_back(self, broker):
+        # 50000 messages of 100 bytes are more than the socket buffers
+        # between the broker and an idle subscriber hold, so the broker's
+        # write to it stalls until it polls
+        payloads = [b"%0100d" % i for i in range(50000)]
+        errors = []
+
+        def publish_all():
+            try:
+                with client_connect(broker.address, "pub") as pub:
+                    for payload in payloads:
+                        pub.publish("t", payload, qos=1)
+            except MqttError as exc:
+                errors.append(exc)
+
+        with client_connect(broker.address, "sub") as sub:
+            sub.subscribe("t", qos=1)
+            publisher = threading.Thread(target=publish_all)
+            publisher.start()
+            # wait until the broker stops reading the publisher
+            received, end = -1, time.monotonic() + 30.0
+            while broker.stats["publishes_received"] != received and time.monotonic() < end:
+                received = broker.stats["publishes_received"]
+                time.sleep(0.5)
+            assert received < len(payloads)
+            got = {}  # payloads in order of first arrival; a resend may repeat one
+            end = time.monotonic() + 60.0
+            while len(got) < len(payloads) and time.monotonic() < end:
+                got.update(dict.fromkeys(m.payload for m in sub.poll(timeout_s=0.1)))
+            publisher.join(timeout=10.0)
+        assert not publisher.is_alive()
+        assert errors == []
+        assert list(got) == payloads
 
 
 class TestPollAfterClose:
@@ -320,15 +375,13 @@ class TestPollAfterClose:
             with client_connect(broker.address, "pub") as pub:
                 for i in range(3):
                     pub.publish("t", str(i).encode(), qos=1)
+            # the publisher's handler forwards each publish before it reads
+            # the DISCONNECT and ends the publisher's session
             deadline = time.monotonic() + 5.0
-            while len(sub._inbox) < 3 and time.monotonic() < deadline:
+            while broker.session_count() > 1 and time.monotonic() < deadline:
                 time.sleep(0.01)
         finally:
             broker.stop()
-        deadline = time.monotonic() + 5.0
-        while not sub.closed and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert sub.closed
         assert [m.payload for m in sub.poll()] == [b"0", b"1", b"2"]
         for timeout_s in (0.0, 0.5):
             started = time.monotonic()
@@ -363,12 +416,11 @@ class TestPollAfterClose:
             server_thread = threading.Thread(target=fake_broker)
             server_thread.start()
             sub = client_connect(server.getsockname()[:2], "sub")
+            # the acks go out when poll reads
+            messages = sub.poll()
             server_thread.join(timeout=5.0)
         assert result["acks"] == bytes([0x40, 0x02, 0x00, 0x01, 0x40, 0x02, 0x00, 0x02])
-        deadline = time.monotonic() + 5.0
-        while not sub.closed and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert [m.payload for m in sub.poll()] == [b"a", b"b"]
+        assert [m.payload for m in messages] == [b"a", b"b"]
         with pytest.raises(SessionClosed, match="protocol error"):
             sub.poll()
         sub.close()
@@ -392,7 +444,85 @@ class TestPollAfterClose:
         assert raised and raised[0] - closed_at < 0.5
 
 
+def serve_one_handshake(server, reply):
+    """Accept one client, read its CONNECT, send reply (None: nothing) and close."""
+    conn, _ = server.accept()
+    with conn:
+        conn.recv(1024)  # CONNECT
+        if reply is None:
+            conn.settimeout(5.0)
+            conn.recv(1024)  # until the client gives up
+        else:
+            conn.sendall(reply)
+
+
+class TestHandshakeFailure:
+    @pytest.mark.parametrize(
+        "reply, error",
+        [
+            (b"", SessionClosed),
+            (encode_packet(PingResp()), ProtocolError),
+            (encode_packet(ConnAck(False, 3)), MqttError),
+            (None, OSError),
+        ],
+        ids=["closed", "not-connack", "refused", "timeout"],
+    )
+    def test_socket_is_closed(self, monkeypatch, reply, error):
+        monkeypatch.setattr(client_module, "_SOCKET_TIMEOUT_S", 0.2)
+        opened = []
+        create_connection = socket.create_connection
+
+        def recording_create_connection(*args, **kwargs):
+            opened.append(create_connection(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(socket, "create_connection", recording_create_connection)
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            server_thread = threading.Thread(target=serve_one_handshake, args=(server, reply))
+            server_thread.start()
+            with pytest.raises(error):
+                client_connect(server.getsockname()[:2], "c")
+            server_thread.join(timeout=5.0)
+        assert not server_thread.is_alive()
+        assert opened[0].fileno() == -1
+
+
+def serve_late_suback(server, gave_up):
+    """Accept one client; answer its SUBSCRIBE once gave_up is set, then ack one publish."""
+    conn, _ = server.accept()
+    with conn:
+        conn.settimeout(5.0)
+        conn.recv(1024)  # CONNECT
+        conn.sendall(encode_packet(ConnAck(False, 0)))
+        conn.recv(1024)  # SUBSCRIBE, packet id 1
+        gave_up.wait(5.0)
+        conn.sendall(encode_packet(SubAck(packet_id=1, return_codes=(1,))))
+        conn.recv(1024)  # PUBLISH
+        conn.sendall(encode_packet(PubAck(1)))
+        conn.recv(1024)  # DISCONNECT
+
+
+class TestLateSubAck:
+    def test_a_suback_after_subscribe_gave_up_leaves_its_packet_id_free(self):
+        gave_up = threading.Event()
+        with socket.create_server(("127.0.0.1", 0)) as server:
+            server_thread = threading.Thread(target=serve_late_suback, args=(server, gave_up))
+            server_thread.start()
+            c = client_connect(server.getsockname()[:2], "c", ack_timeout_s=0.1)
+            with pytest.raises(DeliveryError, match="no suback for packet 1"):
+                c.subscribe("t")
+            gave_up.set()
+            c.poll(timeout_s=0.2)  # reads the late SUBACK
+            c._next_pid = 1
+            c.publish("t", b"x", qos=1)
+            assert list(c._inflight) == [1]
+            c.close()
+            server_thread.join(timeout=5.0)
+        assert not server_thread.is_alive()
+
+
 class TestSessionLifecycle:
+
     def test_broker_stop_closes_sessions(self):
         broker = broker_start(BrokerConfig())
         c1 = client_connect(broker.address, "c1")
@@ -418,9 +548,7 @@ class TestSessionLifecycle:
     def test_keep_alive_expiry_with_fake_clock(self):
         clock = FakeClock()
         with broker_start(BrokerConfig(clock=clock)) as broker:
-            with client_connect(
-                broker.address, "quiet", keep_alive_s=2, auto_ping=False
-            ) as c:
+            with client_connect(broker.address, "quiet", keep_alive_s=2) as c:
                 assert broker.session_count() == 1
                 clock.advance(10.0)  # way past keep_alive * grace
                 deadline = time.monotonic() + 5.0
@@ -436,7 +564,10 @@ class TestSessionLifecycle:
 
     def test_auto_ping_keeps_session_alive(self, broker):
         with client_connect(broker.address, "pinger", keep_alive_s=1) as c:
-            time.sleep(1.8)  # past keep_alive * grace without any publish
+            # past keep_alive * grace without any publish; poll sends the pings
+            end = time.monotonic() + 1.8
+            while time.monotonic() < end:
+                assert c.poll(timeout_s=0.1) == []
             c.publish("t", b"still-here", qos=1)
             assert broker.session_count() == 1
 
@@ -519,8 +650,8 @@ class TestThreadsPerConnection:
                 pub.publish("t", b"x", qos=1)
                 pub.flush()
                 started = set(threading.enumerate()) - before
-                # the broker's accept loop and session handler, the client's reader
-                assert len(started) == 3, sorted(t.name for t in started)
+                # the broker's accept loop and session handler; the client starts none
+                assert len(started) == 2, sorted(t.name for t in started)
 
     @pytest.mark.parametrize("ack_timeout_s", [0, -1.0])
     def test_ack_timeout_must_be_positive(self, broker, ack_timeout_s):

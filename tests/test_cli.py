@@ -244,27 +244,27 @@ class TestBrokerCommand:
     def interrupt_and_wait(argv):
         # with faulthandler on, SIGABRT makes the child print the stack of
         # every thread to stderr before it dies
-        proc = subprocess.Popen(
+        with subprocess.Popen(
             argv,
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             text=True,
-        )
-        try:
-            line = proc.stdout.readline()
-            assert line.startswith("listening on 127.0.0.1:")
-            time.sleep(0.2)
-            proc.send_signal(signal.SIGINT)
+        ) as proc:
             try:
-                code = proc.wait(timeout=10)
-            except subprocess.TimeoutExpired:
-                proc.send_signal(signal.SIGABRT)
-                _, stderr = proc.communicate(timeout=10)
-                pytest.fail(f"broker still up 10 s after SIGINT; its threads:\n{stderr}")
-            assert code == 0, proc.stderr.read()
-        finally:
-            if proc.poll() is None:
-                proc.kill()
+                line = proc.stdout.readline()
+                assert line.startswith("listening on 127.0.0.1:")
+                time.sleep(0.2)
+                proc.send_signal(signal.SIGINT)
+                try:
+                    code = proc.wait(timeout=10)
+                except subprocess.TimeoutExpired:
+                    proc.send_signal(signal.SIGABRT)
+                    _, stderr = proc.communicate(timeout=10)
+                    pytest.fail(f"broker still up 10 s after SIGINT; its threads:\n{stderr}")
+                assert code == 0, proc.stderr.read()
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
 
 
 class TestConfigFileIntegration:

@@ -263,6 +263,32 @@ class TestThreadsEndWithTheRun:
         assert threading.active_count() <= start, threading.enumerate()
 
 
+class TestThreadsPerRun:
+    @pytest.mark.parametrize("mode, most", [("monolith", 5), ("flow", 7), ("faas", 8)])
+    def test_peak_thread_count(self, tmp_path, mode, most):
+        head = Path(DATA_FILE).read_text().splitlines()[:4001]  # header and 4000 records
+        cfg = RunConfig(data=write_signal(tmp_path, head), speedup=0.0)
+        peak = [0]
+        done = threading.Event()
+
+        def sample():
+            while not done.is_set():
+                peak[0] = max(peak[0], threading.active_count())
+                time.sleep(0.002)
+
+        sampler = threading.Thread(target=sample)
+        sampler.start()
+        # the threads alive now: the main thread, the sampler and any a test left
+        before = threading.active_count()
+        try:
+            assert run_pipeline(mode, cfg).counts["drained"] is True
+        finally:
+            done.set()
+            sampler.join()
+        # the run's own threads plus the main thread
+        assert peak[0] - before + 1 <= most
+
+
 class TestCompareModes:
     def test_equal_on_clean_data(self, tmp_path):
         samples = [0.5 + v for v in sine_wave(1.0, 100, 10.0)]

@@ -140,6 +140,22 @@ class TestInsertUnique:
         assert not coll.insert_unique(record(1))
         assert [d.body["seq"] for d in coll.get_all()] == [1, 2]
 
+    def test_stale_seq_is_refused_after_delete_all(self):
+        coll = CappedCollection(200)
+        for seq in range(1, 101):
+            assert coll.insert_unique(record(seq))
+        coll.delete_all()
+        assert not coll.insert_unique(record(50))
+        assert coll.insert_unique(record(101))
+        assert [d.body["seq"] for d in coll.get_all()] == [101]
+
+    def test_plain_insert_does_not_break_the_next_record(self):
+        coll = CappedCollection(10)
+        coll.insert("hello")
+        assert coll.insert_unique(record(1))
+        assert not coll.insert_unique(record(1))
+        assert [d.body for d in coll.get_all()] == ["hello", record(1)]
+
     def test_eviction_moves_the_range(self):
         coll = CappedCollection(3)
         for seq in range(1, 9):
