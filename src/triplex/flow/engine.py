@@ -1,17 +1,16 @@
-"""Flow execution: one worker thread per flow, run-to-completion per message.
+"""Flow execution: each message runs through the graph on its source's thread.
 
-Sources (mqtt-in, interval-inject, manual-inject) feed a FIFO queue; the
-worker pops one message, runs the target node, and fans the result out to
-the node's out-wires in declaration order. The first wire receives the
-payload itself, later wires a deep copy, so downstream nodes never share
-mutable state. A failing node routes the error to the flow's error sink
-and the flow keeps running.
+The thread that fires a source (the mqtt-in pump, an interval-inject timer,
+the caller of inject) runs the message to completion under the flow lock,
+so each source keeps its order. A node's result goes to its out-wires in
+declaration order, depth first; the first wire gets the payload itself,
+later wires a deep copy taken before the first runs. A failing node's
+error goes to the error sink and the flow keeps running.
 """
 
 from __future__ import annotations
 
 import copy
-import queue
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -22,8 +21,6 @@ from ..report import make_report, metrics_to_dict
 from ..source import MqttSource
 from ..store import CappedCollection
 from .parser import FlowGraph
-
-_SHUTDOWN = object()
 
 
 @dataclass
@@ -38,7 +35,7 @@ class FlowRuntime:
 
 
 class FlowHandle:
-    """A running flow; stop() drains in-flight messages before closing."""
+    """A running flow; stop() lets the message each source is running finish."""
 
     def __init__(self, graph: FlowGraph, runtime: FlowRuntime):
         self.graph = graph
@@ -46,13 +43,10 @@ class FlowHandle:
         self.errors: list = []
         self.debug: list = []
         self.sources: list = []  # one MqttSource per mqtt-in node
-        self._queue: queue.Queue = queue.Queue()
+        self._lock = threading.Lock()  # held while a message runs
         self._stop_timers = threading.Event()
         self._stopped = False
         self._timers = []
-
-        self._worker = threading.Thread(target=self._work_loop, name="flow-worker", daemon=True)
-        self._worker.start()
         for node in graph.nodes:
             if node.type == "interval-inject":
                 t = threading.Thread(
@@ -70,13 +64,13 @@ class FlowHandle:
         node = self.graph.node(node_id)
         if node.type != "manual-inject":
             raise ValueError(f"node {node_id!r} is {node.type!r}, not manual-inject")
-        self._fan_out(node_id, payload)
+        self._fire(node_id, payload)
 
     def _interval_loop(self, node):
         period_s = node.config.get("period_ms", 1000) / 1000.0
         tick = 0
         while not self._stop_timers.wait(period_s):
-            self._fan_out(node.id, {"tick": tick})
+            self._fire(node.id, {"tick": tick})
             tick += 1
 
     def _start_source(self, node):
@@ -87,7 +81,7 @@ class FlowHandle:
             source = MqttSource(
                 self.runtime.broker_address,
                 node.config["topic"],
-                lambda record: self._fan_out(node.id, record),
+                lambda record: self._fire(node.id, record),
                 lambda payload, exc: self._fail(node.id, exc),
                 name=f"flow-{node.id}",
             )
@@ -96,27 +90,20 @@ class FlowHandle:
             raise
         self.sources.append(source)
 
-    # -- message pump -----------------------------------------------------
+    # -- execution --------------------------------------------------------
+
+    def _fire(self, source_id: str, payload):
+        with self._lock:
+            self._fan_out(source_id, payload)
 
     def _fan_out(self, from_id: str, payload):
         targets = self.graph.out_wires(from_id)
-        for i, to in enumerate(targets):
-            out = payload if i == 0 else copy.deepcopy(payload)
-            self._queue.put((to, out))
-
-    def _work_loop(self):
-        while True:
-            item = self._queue.get()
+        payloads = [payload] + [copy.deepcopy(payload) for _ in targets[1:]]
+        for to, out in zip(targets, payloads):
             try:
-                if item is _SHUTDOWN:
-                    return
-                node_id, payload = item
-                try:
-                    self._execute(self.graph.node(node_id), payload)
-                except Exception as exc:
-                    self._fail(node_id, exc)
-            finally:
-                self._queue.task_done()
+                self._execute(self.graph.node(to), out)
+            except Exception as exc:
+                self._fail(to, exc)
 
     def _execute(self, node, payload):
         rt = self.runtime
@@ -147,27 +134,27 @@ class FlowHandle:
     # -- lifecycle --------------------------------------------------------
 
     def drain(self, timeout_s: float = 10.0) -> bool:
-        """Wait until every queued message has been fully processed."""
-        # task_done() notifies this condition when the last task finishes
-        done = self._queue.all_tasks_done
-        with done:
-            return done.wait_for(lambda: self._queue.unfinished_tasks == 0, timeout_s)
+        """Wait until no message is running; False if one still is after timeout_s."""
+        if not self._lock.acquire(timeout=timeout_s):
+            return False
+        self._lock.release()
+        return True
 
     def drained(self, published: int) -> bool:
-        return self.drain(10.0)
+        """Every mqtt-in source has run the first `published` records through."""
+        return all(s.delivered >= published for s in self.sources)
 
     def finalize(self):
-        """Fire every manual-inject source once and let the flow settle."""
+        """Fire every manual-inject source once; each runs before inject returns."""
         for node in self.graph.nodes:
             if node.type == "manual-inject":
                 self.inject(node.id)
-        self.drain(10.0)
 
     def counters(self) -> dict:
         return {"node_errors": len(self.errors)}
 
     def stop(self):
-        """Sources first, then drain in-flight messages, then the worker."""
+        """Stop the timers and sources; each finishes the message it is running."""
         if self._stopped:
             return
         self._stopped = True
@@ -176,9 +163,6 @@ class FlowHandle:
             source.stop()
         for t in self._timers:
             t.join(timeout=5.0)
-        self.drain(10.0)
-        self._queue.put(_SHUTDOWN)
-        self._worker.join(timeout=5.0)
 
     def __enter__(self):
         return self

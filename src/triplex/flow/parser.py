@@ -151,7 +151,23 @@ def parse_flow(text: str) -> FlowGraph:
             )
         wires.append((frm, to))
 
+    _reject_cycles(wires)
     return FlowGraph(nodes=tuple(nodes), wires=tuple(wires))
+
+
+def _reject_cycles(wires):
+    # drop the wires out of nodes that no wire feeds, until none are left
+    while wires:
+        fed = {to for _frm, to in wires}
+        rest = [(frm, to) for frm, to in wires if frm in fed]
+        if len(rest) == len(wires):
+            # each wire left starts where a wire left ends: walking back finds a cycle
+            back = {to: frm for frm, to in wires}
+            node_id = wires[0][0]
+            for _ in wires:
+                node_id = back[node_id]
+            raise ParseError(f"wires form a cycle through node {node_id!r}")
+        wires = rest
 
 
 def load_flow(path) -> FlowGraph:

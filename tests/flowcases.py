@@ -87,6 +87,33 @@ def malformed_flows():
             "wire into manual-inject",
             _flow([_node("d", "store-insert"), _node("m", "manual-inject")], [["d", "m"]]),
         ),
+        (
+            "wire cycle self",
+            _flow(
+                [_node("go", "manual-inject"), _node("keep", "store-insert")],
+                [["go", "keep"], ["keep", "keep"]],
+            ),
+        ),
+        (
+            "wire cycle two nodes",
+            _flow(
+                [_node("go", "manual-inject"), _node("keep", "store-insert"), _node("fetch", "store-get-all")],
+                [["go", "keep"], ["keep", "fetch"], ["fetch", "keep"]],
+            ),
+        ),
+        (
+            "wire cycle three nodes",
+            _flow(
+                [
+                    _node("go", "manual-inject"),
+                    _node("keep", "store-insert"),
+                    _node("fetch", "store-get-all"),
+                    _node("calc", "hrv-analyze"),
+                    _node("out", "report"),
+                ],
+                [["go", "keep"], ["keep", "fetch"], ["fetch", "calc"], ["calc", "keep"], ["calc", "out"]],
+            ),
+        ),
         ("nul byte", '{"nodes": [\x00], "wires": []}'),
         ("deep nesting", "[" * 200 + "]" * 200),
     ]

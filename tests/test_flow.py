@@ -2,6 +2,7 @@ import json
 import random
 import socket
 import string
+import sys
 import threading
 import time
 from pathlib import Path
@@ -79,6 +80,17 @@ class TestParser:
             parse_flow(text)
         assert str(err.value)  # a located diagnostic, not a bare crash
 
+    def test_cycle_is_rejected_at_parse_naming_a_node_on_it(self):
+        nodes = [
+            {"id": "go", "type": "manual-inject"},
+            {"id": "keep", "type": "store-insert"},
+            {"id": "fetch", "type": "store-get-all"},
+            {"id": "d", "type": "debug"},
+        ]
+        wires = [["go", "keep"], ["keep", "fetch"], ["fetch", "keep"], ["fetch", "d"]]
+        with pytest.raises(ParseError, match="cycle through node '(keep|fetch)'"):
+            parse_flow(json.dumps({"nodes": nodes, "wires": wires}))
+
     def test_arbitrary_text_never_crashes(self):
         rng = random.Random(31)
         alphabet = string.printable
@@ -133,6 +145,32 @@ class TestEngineLocal:
         assert rec["mode"] == "flow"
         assert rec["bpm"] == pytest.approx(60.0, abs=1.0)
         assert rec["flags"] == []
+        assert handle.errors == []
+
+    def test_inject_runs_the_message_on_the_calling_thread(self):
+        threads = []
+        rt = FlowRuntime(
+            window=CappedCollection(5000), report=lambda rec: threads.append(threading.current_thread())
+        )
+        for rec in records_from(sine_wave(1, 100, 30)):
+            rt.window.insert(rec)
+        graph = parse_flow(
+            json.dumps(
+                {
+                    "nodes": [
+                        {"id": "go", "type": "manual-inject"},
+                        {"id": "fetch", "type": "store-get-all"},
+                        {"id": "calc", "type": "hrv-analyze"},
+                        {"id": "out", "type": "report"},
+                    ],
+                    "wires": [["go", "fetch"], ["fetch", "calc"], ["calc", "out"]],
+                }
+            )
+        )
+        with run_flow(graph, rt) as handle:
+            handle.inject("go")
+            # no drain: the report is written before inject returns
+            assert threads == [threading.current_thread()]
         assert handle.errors == []
 
     def test_interval_inject_ticks(self):
@@ -278,6 +316,44 @@ class TestEngineLocal:
         seen = [payload["seq"] for _label, payload in handle.debug]
         assert seen == list(range(1, 101))
 
+    def test_concurrent_sources_run_one_message_at_a_time(self):
+        rt, _ = make_runtime()
+        graph = parse_flow(
+            json.dumps(
+                {
+                    "nodes": [
+                        {"id": "go", "type": "manual-inject"},
+                        {"id": "first", "type": "debug"},
+                        {"id": "second", "type": "debug"},
+                    ],
+                    "wires": [["go", "first"], ["go", "second"]],
+                }
+            )
+        )
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with run_flow(graph, rt) as handle:
+
+                def fire(n):
+                    for i in range(300):
+                        handle.inject("go", {"source": n, "i": i})
+
+                threads = [threading.Thread(target=fire, args=(n,)) for n in range(6)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=30.0)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(old_interval)
+        # each message reaches both of its sinks before the next one starts
+        pairs = list(zip(handle.debug[0::2], handle.debug[1::2]))
+        assert len(pairs) == 6 * 300
+        assert all(a == ("first", b[1]) and b[0] == "second" for a, b in pairs)
+        for n in range(6):
+            assert [p["i"] for (_, p), _ in pairs if p["source"] == n] == list(range(300))
+
     def test_stop_drains_pending_messages(self):
         rt, _ = make_runtime()
         graph = parse_flow(
@@ -351,7 +427,7 @@ class TestEngineWithBroker:
         start = threading.active_count()
         with pytest.raises(BrokerUnreachable, match="unreachable"):
             run_flow(load_flow(FLOWS_DIR / "health_monitor.json"), rt)
-        # the worker that started before the source failed is gone again
+        # the interval-inject timer that started before the source failed is gone again
         assert threading.active_count() == start
 
     def test_missing_broker_address_raises_at_construction(self):

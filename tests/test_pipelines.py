@@ -264,7 +264,7 @@ class TestThreadsEndWithTheRun:
 
 
 class TestThreadsPerRun:
-    @pytest.mark.parametrize("mode, most", [("monolith", 5), ("flow", 7), ("faas", 8)])
+    @pytest.mark.parametrize("mode, most", [("monolith", 5), ("flow", 6), ("faas", 8)])
     def test_peak_thread_count(self, tmp_path, mode, most):
         head = Path(DATA_FILE).read_text().splitlines()[:4001]  # header and 4000 records
         cfg = RunConfig(data=write_signal(tmp_path, head), speedup=0.0)
