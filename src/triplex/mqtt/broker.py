@@ -1,24 +1,31 @@
-"""Embedded threaded MQTT broker for the qos 0/1, clean-session subset.
+"""Embedded MQTT broker for the qos 0/1, clean-session subset, on one thread.
 
-One handler thread per connection; routing happens synchronously in the
-publisher's thread. Every write to a connection is appended to that
-session's outbox under its write lock, which preserves per connection
-delivery order. A handler handles every complete packet it has read before
-it writes anything: at the end of each read burst it gives every session it
-wrote to one sendall, in the order it first wrote to them, so a pipelined
-burst costs one syscall per peer rather than one per packet, and a lone
-packet still goes out as soon as it has been handled. A write to a
-subscriber that has not drained its socket blocks the handler that writes,
-so a slow subscriber holds its publishers back rather than losing messages.
-Each handler also expires its own session once the client has been silent
-too long, checked before every read; time comes from an injectable clock so
-expiry is testable without sleeping.
+One thread, mqtt-broker, owns the non-blocking listener, every connection,
+every session and the stats, and waits in one selectors call. Each turn
+reads every readable connection once and handles every complete packet it
+got, queueing replies and routed publishes on each target's outbox; then
+each outbox it touched gets one send, in first-write order. So a pipelined
+burst costs one system call per peer, and a lone packet goes out at once.
+
+Backpressure needs no threshold. Bytes a peer does not take stay in its
+outbox, and the loop waits for that socket to become writable. Until the
+outbox is empty the loop reads no connection whose publishes are among
+them: a slow subscriber holds its publishers back rather than losing
+messages, and its outbox holds about one read per publisher.
+
+Each turn checks three deadlines on an injectable clock, so they are
+testable without sleeping, and the loop waits until the nearest: a session
+the loop reads that has been silent for 1.5 keep-alive periods expires
+(time spent held back is not silence); a connection that sends no CONNECT
+within 10 s is closed; a peer that takes none of its pending bytes for
+10 s is dropped. stop() wakes the loop through a socketpair.
 """
 
 from __future__ import annotations
 
+import math
 import random
-import select
+import selectors
 import socket
 import threading
 import time
@@ -46,10 +53,9 @@ from .topics import topic_matches
 # MQTT 3.1.1 section 3.1.2.10: a server drops a client it has not heard
 # from within one and a half keep-alive periods.
 _KEEP_ALIVE_GRACE = 1.5
-# longest one read waits, so a handler sees a stop or an expired session
-_READ_WAIT_S = 0.2
-# a peer that does not take one write within this long is dropped
-_WRITE_TIMEOUT_S = 10.0
+# a connection that sends no CONNECT, or a peer that takes none of its
+# pending bytes, for this long is closed
+_DEADLINE_S = 10.0
 
 
 @dataclass
@@ -71,14 +77,22 @@ class BrokerConfig:
 
 
 class _Session:
-    def __init__(self, conn, client_id, keep_alive_s, now):
+    """One connection; a session once its CONNECT is accepted."""
+
+    def __init__(self, conn, now):
         self.conn = conn
-        self.client_id = client_id
-        self.keep_alive_s = keep_alive_s
-        self.subscriptions = []  # (filter, granted qos)
-        self.write_lock = threading.Lock()
-        self.outbox = bytearray()  # written, not yet sent; guarded by write_lock
+        self.client_id = None  # set by CONNECT
+        # longest silence allowed while the loop reads, CONNECT's deadline
+        # until it arrives; 0 never expires
+        self.silence_s = _DEADLINE_S
         self.last_activity = now
+        self.subscriptions = []  # (filter, granted qos)
+        self.inbuf = bytearray()  # read, not yet a complete packet
+        self.outbox = bytearray()  # queued, not yet taken by the peer
+        self.stalled_since = None  # while bytes wait: when the peer last took some
+        self.senders = set()  # sessions whose publishes are in the outbox
+        self.held_by = set()  # sessions whose waiting bytes hold this one's publishes
+        self.events = 0  # what the selector watches conn for
         self.next_pid = 1
         self.closed = False
 
@@ -87,12 +101,9 @@ class Broker:
     def __init__(self, cfg: BrokerConfig):
         self.cfg = cfg
         self._rng = random.Random(cfg.ack_drop_seed)
-        self._rng_lock = threading.Lock()
-        self._registry_lock = threading.RLock()
-        self._sessions: dict[str, _Session] = {}
-        self._threads: list[threading.Thread] = []
-        self._stopping = threading.Event()
-        self._stats_lock = threading.Lock()
+        self._sessions: dict[str, _Session] = {}  # by client id
+        self._conns: set[_Session] = set()  # every open connection
+        self._stopping = False
         self.stats = {
             "sessions_opened": 0,
             "sessions_expired": 0,
@@ -105,281 +116,270 @@ class Broker:
             self._listener = socket.create_server((cfg.host, cfg.port))
         except OSError as exc:
             raise StartupError(f"cannot bind {cfg.host}:{cfg.port}: {exc}")
-        self._listener.settimeout(0.2)
+        self._listener.setblocking(False)
         self.address = self._listener.getsockname()[:2]
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="mqtt-broker-accept", daemon=True
-        )
-        self._accept_thread.start()
+        # stop() writes one byte to _waker, so the loop's wait ends at once
+        self._wake_end, self._waker = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_end, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._run, name="mqtt-broker", daemon=True)
+        self._thread.start()
 
-    def _bump(self, key, n=1):
-        with self._stats_lock:
-            self.stats[key] += n
+    # -- the loop ----------------------------------------------------------
 
-    # -- connection lifecycle ------------------------------------------
+    def _run(self):
+        try:
+            while True:
+                ready = self._selector.select(self._expire())
+                if self._stopping:
+                    return
+                touched = {}  # outboxes written this turn, in first-write order
+                for key, events in ready:
+                    session = key.data
+                    if session is None:
+                        # the listener; the waker is readable only once stopping
+                        self._accept()
+                        continue
+                    if events & selectors.EVENT_WRITE:
+                        touched[session] = None
+                    if events & selectors.EVENT_READ and not session.closed:
+                        self._read(session, touched)
+                self._flush(touched)
+        finally:
+            for session in list(self._conns):
+                self._drop(session)
+            self._selector.close()
+            self._listener.close()
+            self._wake_end.close()
 
-    def _accept_loop(self):
-        while not self._stopping.is_set():
+    def _expire(self):
+        """Close each connection past a deadline; seconds to the nearest other, or None."""
+        now = self.cfg.clock()
+        nearest = math.inf
+        for session in list(self._conns):
+            silent_due = stall_due = math.inf
+            # a held session is not read, so its silence does not count
+            if session.silence_s and not session.held_by:
+                silent_due = session.last_activity + session.silence_s
+            if session.stalled_since is not None:
+                stall_due = session.stalled_since + _DEADLINE_S
+            if now > silent_due and session.client_id is not None:
+                self.stats["sessions_expired"] += 1
+            if now > min(silent_due, stall_due):
+                self._drop(session)
+            else:
+                nearest = min(nearest, silent_due, stall_due)
+        return None if nearest == math.inf else max(0.0, nearest - now)
+
+    def _accept(self):
+        while True:
             try:
                 conn, _addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+            except OSError:  # BlockingIOError once no connection waits
                 return
-            t = threading.Thread(target=self._serve, args=(conn,), daemon=True)
-            t.start()
-            # keep only live handlers, so the list stays as long as the
-            # number of open connections
-            self._threads = [h for h in self._threads if h.is_alive()]
-            self._threads.append(t)
+            conn.setblocking(False)
+            # PUBACKs and forwarded publishes go out back to back; Nagle's
+            # algorithm would hold each behind the client's delayed ack (40 ms)
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            session = _Session(conn, self.cfg.clock())
+            self._conns.add(session)
+            self._watch(session)
 
-    def _serve(self, conn):
-        # reads wait through poll; the socket timeout bounds only writes
-        conn.settimeout(_WRITE_TIMEOUT_S)
-        poller = select.poll()
-        poller.register(conn, select.POLLIN)
-        # PUBACKs and forwarded publishes go out back to back; Nagle's
-        # algorithm would hold each behind the client's delayed ack (40 ms)
-        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        session = None
-        try:
-            session, buf = self._handshake(conn, poller)
-            if session is None:
-                return
-            self._run_session(session, poller, buf)
-        except (ProtocolError, OSError):
-            pass
-        finally:
-            if session is not None:
-                self._unregister(session)
-            try:
-                conn.close()
-            except OSError:
-                pass
+    def _watch(self, session):
+        """Watch conn for reads unless its session is held, and for writes while bytes wait."""
+        if session.closed:
+            return
+        events = 0 if session.held_by else selectors.EVENT_READ
+        if session.outbox:
+            events |= selectors.EVENT_WRITE
+        if events == session.events:
+            return
+        if not session.events:
+            self._selector.register(session.conn, events, session)
+        elif not events:
+            self._selector.unregister(session.conn)
+        else:
+            self._selector.modify(session.conn, events, session)
+        session.events = events
 
-    @staticmethod
-    def _recv(conn, poller):
-        """One recv once conn is readable; None if it was not within _READ_WAIT_S."""
-        if not poller.poll(_READ_WAIT_S * 1000.0):
-            return None
-        return conn.recv(_RECV_BYTES)
+    def _read(self, session, touched):
+        """One recv, then handle every complete packet in the session's buffer.
 
-    def _recv_packet(self, conn, poller, buf, deadline_s=10.0):
-        """Read one complete packet off the front of buf (a bytearray).
-
-        Returns the packet, or None on EOF, stop or deadline; what follows
-        the packet stays in buf.
+        EOF, a read error or a malformed packet closes the connection once
+        the packets before it are handled.
         """
-        deadline = time.monotonic() + deadline_s
-        while True:
-            out = decode_packet(buf)
-            if out is not NeedMoreBytes:
-                packet, used = out
-                del buf[:used]
-                return packet
-            if self._stopping.is_set() or time.monotonic() > deadline:
-                return None
-            chunk = self._recv(conn, poller)
-            if chunk is None:
-                continue
-            if not chunk:
-                return None
-            buf += chunk
-
-    def _handshake(self, conn, poller):
-        buf = bytearray()
-        packet = self._recv_packet(conn, poller, buf)
-        if not isinstance(packet, Connect):
-            return None, b""
-        with self._registry_lock:
-            # a reconnect under the same client id takes the session over
-            old = self._sessions.pop(packet.client_id, None)
-            if old is None and len(self._sessions) >= self.cfg.max_sessions:
-                conn.sendall(encode_packet(ConnAck(False, 3)))
-                return None, b""
-            session = _Session(conn, packet.client_id, packet.keep_alive_s, self.cfg.clock())
-            self._sessions[packet.client_id] = session
-        if old is not None:
-            self._drop(old)
-        conn.sendall(encode_packet(ConnAck(session_present=False, return_code=0)))
-        self._bump("sessions_opened")
-        return session, buf
-
-    def _run_session(self, session, poller, buf):
-        conn = session.conn
-        # a client silent for longer than this is dropped; 0 never expires
-        silence_s = session.keep_alive_s * _KEEP_ALIVE_GRACE
-        # sessions written to since the last flush, in first-write order
-        touched = {}
+        buf = session.inbuf
         try:
-            while not self._stopping.is_set() and not session.closed:
-                out = decode_packet(buf)
-                if out is NeedMoreBytes:
-                    # no complete packet left: send the burst's writes
-                    self._flush(touched)
-                    # checked before every read, so a client that trickles
-                    # partial packets expires too
-                    if silence_s and self.cfg.clock() - session.last_activity > silence_s:
-                        self._bump("sessions_expired")
-                        self._drop(session)
-                        return
-                    chunk = self._recv(conn, poller)
-                    if chunk is None:
-                        continue
-                    if not chunk:
-                        return
-                    buf += chunk
-                    continue
+            chunk = session.conn.recv(_RECV_BYTES)
+            buf += chunk
+            while not session.closed and (out := decode_packet(buf)) is not NeedMoreBytes:
                 packet, used = out
                 # amortised O(1) from the front of a bytearray
                 del buf[:used]
                 session.last_activity = self.cfg.clock()
-                if isinstance(packet, Publish):
-                    self._on_publish(session, packet, touched)
-                elif isinstance(packet, Subscribe):
-                    self._on_subscribe(session, packet, touched)
-                elif isinstance(packet, PingReq):
-                    self._send(session, PingResp(), touched)
-                elif isinstance(packet, PubAck):
-                    pass  # no broker-side retransmission state to clear
-                elif isinstance(packet, Disconnect):
-                    return
-                else:
-                    raise ProtocolError(f"unexpected {type(packet).__name__} from client")
-        finally:
-            # what was routed before a disconnect or an error still goes out
-            self._flush(touched)
+                self._handle(session, packet, touched)
+        except BlockingIOError:
+            return
+        except (ProtocolError, OSError):
+            chunk = b""
+        if not chunk:
+            self._drop(session)
 
     # -- packet handling ------------------------------------------------
 
+    def _handle(self, session, packet, touched):
+        if session.client_id is None:
+            if not isinstance(packet, Connect):
+                raise ProtocolError(f"expected CONNECT, got {type(packet).__name__}")
+            self._connect(session, packet, touched)
+        elif isinstance(packet, Publish):
+            self._on_publish(session, packet, touched)
+        elif isinstance(packet, Subscribe):
+            self._on_subscribe(session, packet, touched)
+        elif isinstance(packet, PingReq):
+            self._send(session, PingResp(), touched)
+        elif isinstance(packet, PubAck):
+            pass  # no broker-side retransmission state to clear
+        elif isinstance(packet, Disconnect):
+            self._drop(session)
+        else:
+            raise ProtocolError(f"unexpected {type(packet).__name__} from client")
+
+    def _connect(self, session, packet, touched):
+        # a reconnect under the same client id takes the session over
+        old = self._sessions.get(packet.client_id)
+        if old is None and len(self._sessions) >= self.cfg.max_sessions:
+            session.conn.send(encode_packet(ConnAck(False, 3)))
+            self._drop(session)
+            return
+        if old is not None:
+            self._drop(old)
+        session.client_id = packet.client_id
+        session.silence_s = packet.keep_alive_s * _KEEP_ALIVE_GRACE
+        self._sessions[packet.client_id] = session
+        self.stats["sessions_opened"] += 1
+        self._send(session, ConnAck(session_present=False, return_code=0), touched)
+
     def _on_publish(self, session, packet, touched):
-        self._bump("publishes_received")
+        self.stats["publishes_received"] += 1
         if packet.dup:
-            self._bump("dup_publishes_received")
+            self.stats["dup_publishes_received"] += 1
         if packet.qos == 1:
-            drop = False
-            if self.cfg.ack_drop_rate > 0:
-                with self._rng_lock:
-                    drop = self._rng.random() < self.cfg.ack_drop_rate
-            if drop:
-                self._bump("acks_dropped")
+            if self.cfg.ack_drop_rate > 0 and self._rng.random() < self.cfg.ack_drop_rate:
+                self.stats["acks_dropped"] += 1
             else:
                 self._send(session, PubAck(packet.packet_id), touched)
-        self._route(packet, touched)
+        self._route(session, packet, touched)
 
     def _on_subscribe(self, session, packet, touched):
-        granted = []
-        with self._registry_lock:
-            for topic_filter, qos in packet.filters:
-                session.subscriptions.append((topic_filter, qos))
-                granted.append(qos)
-        self._send(
-            session, SubAck(packet_id=packet.packet_id, return_codes=tuple(granted)), touched
-        )
+        session.subscriptions.extend(packet.filters)
+        granted = tuple(qos for _topic_filter, qos in packet.filters)
+        self._send(session, SubAck(packet_id=packet.packet_id, return_codes=granted), touched)
 
-    def _route(self, packet, touched):
-        with self._registry_lock:
-            targets = []
-            for session in self._sessions.values():
-                matched = [
-                    qos
-                    for topic_filter, qos in session.subscriptions
-                    if topic_matches(topic_filter, packet.topic)
-                ]
-                if matched:
-                    # one copy per session even when several filters match
-                    targets.append((session, min(packet.qos, max(matched))))
-        for session, out_qos in targets:
-            with session.write_lock:
-                pid = None
-                if out_qos == 1:
-                    pid = session.next_pid
-                    session.next_pid = pid % 0xFFFF + 1
-                session.outbox += encode_packet(
-                    Publish(
-                        topic=packet.topic,
-                        payload=packet.payload,
-                        qos=out_qos,
-                        packet_id=pid,
-                        # carried through so downstream duplicate handling is observable
-                        dup=packet.dup and out_qos == 1,
-                        retain=False,
-                    )
+    def _route(self, publisher, packet, touched):
+        delivered = 0
+        for session in self._sessions.values():
+            matched = [
+                qos
+                for topic_filter, qos in session.subscriptions
+                if topic_matches(topic_filter, packet.topic)
+            ]
+            if not matched:
+                continue
+            # one copy per session even when several filters match
+            out_qos = min(packet.qos, max(matched))
+            pid = None
+            if out_qos == 1:
+                pid = session.next_pid
+                session.next_pid = pid % 0xFFFF + 1
+            session.outbox += encode_packet(
+                Publish(
+                    topic=packet.topic,
+                    payload=packet.payload,
+                    qos=out_qos,
+                    packet_id=pid,
+                    # carried through so downstream duplicate handling is observable
+                    dup=packet.dup and out_qos == 1,
+                    retain=False,
                 )
+            )
+            session.senders.add(publisher)
             touched[session] = None
-        if targets:
-            self._bump("messages_delivered", len(targets))
+            delivered += 1
+        self.stats["messages_delivered"] += delivered
 
     def _send(self, session, packet, touched):
         """Queue packet on session's outbox; _flush sends it."""
-        wire = encode_packet(packet)
-        with session.write_lock:
-            session.outbox += wire
+        session.outbox += encode_packet(packet)
         touched[session] = None
 
     def _flush(self, touched):
-        """One sendall per touched session, in first-write order.
+        """One send per touched outbox, in first-write order.
 
-        Another handler may have flushed a session's outbox already, which
-        leaves it empty here. A write waits for the peer to take it, up to
-        _WRITE_TIMEOUT_S; a session whose write fails or times out is dropped.
+        What the peer does not take stays queued, and holds back every
+        publisher whose messages are among it until the outbox is empty.
+        A peer whose send fails is dropped.
         """
         for session in touched:
-            failed = False
-            with session.write_lock:
-                if session.outbox and not session.closed:
-                    try:
-                        session.conn.sendall(session.outbox)
-                    except OSError:
-                        failed = True
-                session.outbox.clear()
-            if failed:
+            if session.closed:
+                continue
+            try:
+                sent = session.conn.send(session.outbox)
+            except BlockingIOError:
+                sent = 0
+            except OSError:
                 self._drop(session)
-        touched.clear()
+                continue
+            del session.outbox[:sent]
+            if not session.outbox:
+                session.stalled_since = None
+                self._release(session)
+            else:
+                if sent or session.stalled_since is None:
+                    session.stalled_since = self.cfg.clock()
+                for publisher in session.senders:
+                    publisher.held_by.add(session)
+                    self._watch(publisher)
+            self._watch(session)
+
+    def _release(self, session):
+        """Read again each publisher that only session's waiting bytes held back."""
+        for publisher in session.senders:
+            if session in publisher.held_by:
+                publisher.held_by.discard(session)
+                if not publisher.held_by:
+                    # time spent held back is not silence
+                    publisher.last_activity = self.cfg.clock()
+                    self._watch(publisher)
+        session.senders.clear()
 
     # -- shutdown --------------------------------------------------------
 
     def _drop(self, session):
+        if session.closed:
+            return
         session.closed = True
-        try:
-            session.conn.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            session.conn.close()
-        except OSError:
-            pass
-
-    def _unregister(self, session):
-        session.closed = True
-        with self._registry_lock:
-            if self._sessions.get(session.client_id) is session:
-                del self._sessions[session.client_id]
+        self._conns.discard(session)
+        if self._sessions.get(session.client_id) is session:
+            del self._sessions[session.client_id]
+        self._release(session)
+        if session.events:
+            self._selector.unregister(session.conn)
+        session.conn.close()
 
     def session_count(self) -> int:
-        with self._registry_lock:
-            return len(self._sessions)
+        return len(self._sessions)
 
     def stop(self):
         """Close the listener and every session; clients observe the loss."""
-        self._stopping.set()
-        # close() alone leaves accept() blocked until its 0.2 s timeout;
-        # shutdown() wakes it at once.
+        self._stopping = True
         try:
-            self._listener.shutdown(socket.SHUT_RDWR)
+            self._waker.send(b"\0")
         except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._registry_lock:
-            sessions = list(self._sessions.values())
-        for session in sessions:
-            self._drop(session)
-        self._accept_thread.join(timeout=2.0)
-        for t in self._threads:
-            t.join(timeout=2.0)
+            pass  # the loop has already ended, or this is a second stop
+        self._thread.join(timeout=2.0)
+        self._waker.close()
 
     def __enter__(self):
         return self

@@ -1,4 +1,5 @@
 import json
+import os
 import socket
 import threading
 import time
@@ -8,8 +9,10 @@ import pytest
 from triplex.mqtt import (
     BrokerConfig,
     ConnAck,
+    Connect,
     DeliveryError,
     MqttError,
+    PingReq,
     PingResp,
     ProtocolError,
     PubAck,
@@ -143,9 +146,9 @@ class CountingConn:
         self._conn = conn
         self.writes = 0
 
-    def sendall(self, data):
+    def send(self, data):
         self.writes += 1
-        return self._conn.sendall(data)
+        return self._conn.send(data)
 
     def __getattr__(self, name):
         return getattr(self._conn, name)
@@ -196,8 +199,8 @@ class TestCoalescedWrites:
             pub._sock.sendall(burst)
             msgs = drain(sub, 64)
         assert [int(m.payload) for m in msgs] == list(range(64))
-        assert to_sub.writes < 64
-        assert to_pub.writes < 64  # the burst's 64 PUBACKs
+        assert 0 < to_sub.writes < 64
+        assert 0 < to_pub.writes < 64  # the burst's 64 PUBACKs
 
     def test_lone_publish_is_not_held_back(self, broker):
         with client_connect(broker.address, "sub") as sub, client_connect(
@@ -539,10 +542,10 @@ class TestSessionLifecycle:
 
     def test_idle_broker_stops_promptly(self):
         broker = broker_start(BrokerConfig())
-        time.sleep(0.05)  # let the accept thread block in accept()
+        time.sleep(0.05)  # let the broker's loop block in its select()
         started = time.perf_counter()
         broker.stop()
-        # well under the listener's 0.2 s accept timeout
+        # the waker ends the loop's wait at once
         assert time.perf_counter() - started < 0.1
 
     def test_keep_alive_expiry_with_fake_clock(self):
@@ -626,14 +629,15 @@ class TestSessionLifecycle:
             conn = broker._sessions["pub"].conn
             assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
 
-    def test_finished_handler_threads_are_pruned(self, broker):
+    def test_connect_close_cycles_leave_no_session_and_one_thread(self, broker):
         for i in range(20):
             client_connect(broker.address, f"c{i}").close()
         deadline = time.monotonic() + 5.0
-        while any(t.is_alive() for t in broker._threads) and time.monotonic() < deadline:
-            time.sleep(0.05)
-        with client_connect(broker.address, "last"):
-            assert len(broker._threads) == 1
+        while broker.session_count() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert broker.session_count() == 0
+        names = [t.name for t in threading.enumerate() if t.name.startswith("mqtt-broker")]
+        assert names == ["mqtt-broker"]
 
     def test_port_conflict_raises_startup_error(self, broker):
         from triplex.mqtt import StartupError
@@ -650,10 +654,148 @@ class TestThreadsPerConnection:
                 pub.publish("t", b"x", qos=1)
                 pub.flush()
                 started = set(threading.enumerate()) - before
-                # the broker's accept loop and session handler; the client starts none
-                assert len(started) == 2, sorted(t.name for t in started)
+                # the broker's loop; the client starts none
+                assert len(started) == 1, sorted(t.name for t in started)
 
     @pytest.mark.parametrize("ack_timeout_s", [0, -1.0])
     def test_ack_timeout_must_be_positive(self, broker, ack_timeout_s):
         with pytest.raises(ValueError, match="ack_timeout_s"):
             client_connect(broker.address, "pub", ack_timeout_s=ack_timeout_s)
+
+
+def wake(broker):
+    """Make the broker's loop take a turn; it checks its deadlines once per turn."""
+    socket.create_connection(broker.address).close()
+
+
+def wait_until_unread(broker, timeout_s=30.0):
+    """Wait until the broker has stopped reading publishes; returns how many it read."""
+    received, end = -1, time.monotonic() + timeout_s
+    while broker.stats["publishes_received"] != received and time.monotonic() < end:
+        received = broker.stats["publishes_received"]
+        time.sleep(0.5)
+    return received
+
+
+def start_publishing(address, payloads, errors, keep_alive_s=0):
+    """Publish payloads at qos 1 from a thread; an MqttError lands in errors."""
+
+    def publish_all():
+        try:
+            with client_connect(address, "pub", keep_alive_s=keep_alive_s) as pub:
+                for payload in payloads:
+                    pub.publish("t", payload, qos=1)
+        except MqttError as exc:
+            errors.append(exc)
+
+    publisher = threading.Thread(target=publish_all)
+    publisher.start()
+    return publisher
+
+
+class TestLoopDeadlines:
+    def test_time_held_back_is_not_silence(self):
+        # a publisher held back for longer than 1.5 keep-alive periods by a
+        # subscriber that does not poll is read again, not expired
+        clock = FakeClock()
+        payloads = [b"%0100d" % i for i in range(50000)]
+        errors = []
+        with broker_start(BrokerConfig(clock=clock)) as broker:
+            with client_connect(broker.address, "sub") as sub:
+                sub.subscribe("t", qos=1)
+                publisher = start_publishing(broker.address, payloads, errors, keep_alive_s=2)
+                assert wait_until_unread(broker) < len(payloads)
+                clock.advance(5.0)
+                got = {}  # payloads in order of first arrival; a resend may repeat one
+                end = time.monotonic() + 60.0
+                while len(got) < len(payloads) and time.monotonic() < end:
+                    batch = sub.poll(timeout_s=0.1)
+                    if not batch and not publisher.is_alive():
+                        break
+                    got.update(dict.fromkeys(m.payload for m in batch))
+                publisher.join(timeout=10.0)
+            assert not publisher.is_alive()
+            assert errors == []
+            assert broker.stats["sessions_expired"] == 0
+            assert list(got) == payloads
+
+    def test_a_connection_without_connect_is_closed_after_10_s(self):
+        clock = FakeClock()
+        with broker_start(BrokerConfig(clock=clock)) as broker:
+            with socket.create_connection(broker.address) as raw:
+                raw.settimeout(0.3)
+                with pytest.raises(socket.timeout):
+                    raw.recv(1)  # still open: the clock has not moved
+                clock.advance(10.5)
+                wake(broker)
+                raw.settimeout(5.0)
+                assert raw.recv(1) == b""
+            assert broker.session_count() == 0
+
+    def test_a_first_packet_other_than_connect_closes_the_connection(self, broker):
+        with socket.create_connection(broker.address) as raw:
+            raw.sendall(encode_packet(PingReq()))
+            raw.settimeout(5.0)
+            assert raw.recv(1) == b""
+        assert broker.session_count() == 0
+        assert broker.stats["sessions_opened"] == 0
+
+    def test_a_subscriber_that_takes_nothing_for_10_s_is_dropped(self):
+        clock = FakeClock()
+        payloads = [b"%0100d" % i for i in range(50000)]
+        errors = []
+        with broker_start(BrokerConfig(clock=clock)) as broker:
+            with client_connect(broker.address, "sub") as sub:
+                sub.subscribe("t", qos=1)
+                publisher = start_publishing(broker.address, payloads, errors)
+                assert wait_until_unread(broker) < len(payloads)
+                clock.advance(10.5)
+                wake(broker)
+                # the held publisher is read again and finishes without error
+                publisher.join(timeout=20.0)
+                assert not publisher.is_alive()
+                assert errors == []
+                assert broker.stats["publishes_received"] >= len(payloads)
+                got = []
+                with pytest.raises(SessionClosed):
+                    end = time.monotonic() + 30.0
+                    while time.monotonic() < end:
+                        got.extend(m.payload for m in sub.poll(timeout_s=0.1))
+            first = list(dict.fromkeys(got))
+            assert len(first) < len(payloads)
+            assert first == payloads[: len(first)]
+
+    def test_a_malformed_packet_drops_only_its_client(self, broker):
+        with client_connect(broker.address, "sub") as sub, client_connect(
+            broker.address, "pub"
+        ) as pub, socket.create_connection(broker.address) as raw:
+            sub.subscribe("t", qos=1)
+            raw.sendall(encode_packet(Connect("bad")))
+            for i in range(200):
+                pub.publish("t", str(i).encode(), qos=1)
+                if i == 100:
+                    raw.sendall(b"\xf0\x00")  # reserved packet type 15
+            pub.flush()
+            raw.settimeout(5.0)
+            data = b""
+            while chunk := raw.recv(64):
+                data += chunk
+            assert data == encode_packet(ConnAck(False, 0))
+            msgs = drain(sub, 200)
+            assert [int(m.payload) for m in msgs] == list(range(200))
+            assert broker.session_count() == 2
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors")
+    def test_stop_twice_right_after_a_burst_of_connects_leaks_nothing(self):
+        before = len(os.listdir("/proc/self/fd"))
+        broker = broker_start(BrokerConfig())
+        with client_connect(broker.address, "kept") as kept:
+            for i in range(20):
+                socket.create_connection(broker.address).close()
+                client_connect(broker.address, f"c{i}").close()
+            broker.stop()
+            broker.stop()
+            with pytest.raises(SessionClosed):
+                drain(kept, 1)
+        assert not broker._thread.is_alive()
+        assert len(os.listdir("/proc/self/fd")) == before

@@ -1,11 +1,15 @@
-"""Source hygiene: every name a module imports is used by that module, and
-no two modules under src/ define the same top-level function.
+"""Source hygiene: every name a module imports is used by that module, no
+two modules under src/ define the same top-level function, and every
+private module-level name under src/ is read somewhere under src/.
 
 The import check walks the syntax tree of each module under src/ and
 tests/. An imported name counts as used when it is read anywhere in the
 module, or when it is listed in a package __init__'s __all__ (which is how
 a package re-exports it). Two function definitions are the same when their
-syntax trees dump alike, whatever their line numbers.
+syntax trees dump alike, whatever their line numbers. A private name is one
+that starts with a single underscore, bound at module level by an
+assignment, a def or a class; it counts as read when any module under src/
+loads it as a name or as an attribute.
 """
 
 import ast
@@ -97,3 +101,62 @@ class TestDuplicateFunctions:
     def test_src_defines_each_function_once(self):
         sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in SRC_MODULES}
         assert duplicate_functions(sources) == []
+
+
+def _private_definitions(tree: ast.Module) -> dict:
+    """Private module-level name -> line, for assignments, defs and classes."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound = [node.name]
+        elif isinstance(node, ast.Assign):
+            bound = [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            bound = [node.target.id]
+        else:
+            continue
+        for name in bound:
+            if name.startswith("_") and not name.startswith("__"):
+                names[name] = node.lineno
+    return names
+
+
+def _read_names(tree: ast.Module) -> set:
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def unused_private_names(sources: dict) -> list:
+    """Sorted (module, line, name) for each private module-level name no module reads.
+
+    sources maps a module label to its source text.
+    """
+    trees = {label: ast.parse(source) for label, source in sources.items()}
+    read = set().union(*map(_read_names, trees.values()))
+    return sorted(
+        (label, line, name)
+        for label, tree in trees.items()
+        for name, line in _private_definitions(tree).items()
+        if name not in read
+    )
+
+
+class TestUnusedPrivateNames:
+    def test_finds_a_private_name_no_module_reads(self):
+        sources = {
+            "a": "_USED = 1\n_DEAD = 2\n\n\ndef _helper():\n    return _USED\n\n\n"
+            "class _Gone:\n    pass\n",
+            "b": "from a import _helper\n\nx = _helper()\n",
+        }
+        assert unused_private_names(sources) == [("a", 2, "_DEAD"), ("a", 9, "_Gone")]
+
+    def test_a_write_is_not_a_read(self):
+        sources = {"a": "_state = 0\n\n\ndef f(obj):\n    obj._state = 1\n"}
+        assert unused_private_names(sources) == [("a", 1, "_state")]
+
+    def test_src_reads_every_private_name(self):
+        sources = {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in SRC_MODULES}
+        assert unused_private_names(sources) == []
